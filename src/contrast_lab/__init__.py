@@ -14,13 +14,11 @@ from .contrastive import (
     encode_batch,
     grad_params,
     loss_and_vectors,
-    losshat_all,
     losshat_pair,
-    losstilde,
     total_loss_exact,
     total_loss_mc,
 )
-from .data import Dataset, generate_separated, simplex_dataset, validate_dataset
+from .data import Dataset, generate_separated
 from .encoder import (
     Params,
     Shape,
@@ -28,7 +26,6 @@ from .encoder import (
     forward_batch,
     forward_trace,
     init_params,
-    sign_correction,
 )
 from .rng import RngState
 from .trainer import TrainTrace, gd_step, theoretical_hyperparams, train
@@ -38,11 +35,11 @@ __all__ = [
     "ExperimentConfig", "parse_config",
     "EncodedBatch", "GradResult", "HyperParams", "LossVectors",
     "encode_batch", "grad_params", "loss_and_vectors",
-    "losshat_all", "losshat_pair", "losstilde",
+    "losshat_pair",
     "total_loss_exact", "total_loss_mc",
-    "Dataset", "generate_separated", "simplex_dataset", "validate_dataset",
+    "Dataset", "generate_separated",
     "Params", "Shape", "backprop_matrix", "forward_batch", "forward_trace",
-    "init_params", "sign_correction",
+    "init_params",
     "RngState",
     "TrainTrace", "gd_step", "theoretical_hyperparams", "train",
 ]

@@ -20,6 +20,7 @@ the CSV/JSON outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,8 +33,8 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .contrastive import HyperParams, grad_params, loss_and_vectors, encode_batch, total_loss_exact, total_loss_mc
 from .data import Dataset, generate_separated
-from .encoder import Params, Shape, forward_batch, init_params
-from .errors import ContrastLabError
+from .encoder import Params, Shape, init_params, sum_of_squares
+from .errors import ConfigError, ContrastLabError
 from .monitors import (
     ce_smoothness_check,
     fit_loglog,
@@ -42,7 +43,7 @@ from .monitors import (
     perturbation_probe,
     smoothness_probe,
 )
-from .oracle import fd_gradient, kink_mask
+from .oracle import DEFAULT_FD_STEP, fd_gradient, kink_mask
 from .rng import RngState
 from .trainer import TrainTrace, theoretical_hyperparams, train
 
@@ -52,7 +53,7 @@ EXIT_INCONCLUSIVE = 3
 
 TRACE_HEADER = (
     "t,loss,losstilde_norm,losshat_norm,loss_vec_norm,"
-    "grad_w_fro,grad_theta_fro,traj_w_fro,traj_theta_fro,step_ms"
+    "grad_w_fro,grad_theta_fro,traj_w_fro,traj_theta_fro"
 )
 
 
@@ -60,16 +61,15 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def emit_trace(trace: TrainTrace, path: str | Path, include_timings: bool = False) -> None:
-    """Write the training trace as CSV.  step_ms is zeroed by default so that
-    re-runs are byte-identical; pass include_timings=True for diagnostics."""
+def emit_trace(trace: TrainTrace, path: str | Path) -> None:
+    """Write the training trace as CSV.  Step timings go to timings.log only,
+    so that re-runs are byte-identical."""
     lines = [TRACE_HEADER]
     for r in trace.records:
-        ms = r.step_ms if include_timings else 0.0
         lines.append(",".join([
             str(r.t), _fmt(r.loss), _fmt(r.losstilde_norm), _fmt(r.losshat_norm),
             _fmt(r.loss_vec_norm), _fmt(r.grad_w_fro), _fmt(r.grad_theta_fro),
-            _fmt(r.traj_w_fro), _fmt(r.traj_theta_fro), _fmt(ms),
+            _fmt(r.traj_w_fro), _fmt(r.traj_theta_fro),
         ]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -101,29 +101,31 @@ def _max_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def _hyperparams(cfg: ExperimentConfig, delta: float) -> HyperParams:
+    """The config's hyperparameters with the exact loss; only ``train``
+    switches to the config's ``mode``."""
+    if cfg.step_mode == "theoretical":
+        theory, _, _ = theoretical_hyperparams(
+            cfg.n, cfg.k, cfg.L, cfg.m, cfg.d, delta, cfg.epsilon)
+        eta, gamma = theory.eta, theory.gamma
+    else:
+        eta, gamma = cfg.eta, cfg.gamma
+    return HyperParams(k=cfg.k, eta=eta, gamma=gamma, T=cfg.T, epsilon=cfg.epsilon,
+                       mc_samples=cfg.mc_samples, enumeration_cap=cfg.enumeration_cap)
+
+
 def _setup(cfg: ExperimentConfig) -> tuple[RngState, Dataset, Params, Params, HyperParams]:
     root = RngState(seed=cfg.seed)
     data = generate_separated(root.child("data"), cfg.n, cfg.b, cfg.delta_min)
     shape = Shape(L=cfg.L, m=cfg.m, d=cfg.d, b=cfg.b)
     qp = init_params(root.child("query-net"), shape)
     kp = init_params(root.child("key-net"), shape)
-    if cfg.step_mode == "theoretical":
-        hp, _, _ = theoretical_hyperparams(
-            cfg.n, cfg.k, cfg.L, cfg.m, cfg.d, data.delta, cfg.epsilon)
-        hp = HyperParams(k=cfg.k, eta=hp.eta, gamma=hp.gamma, T=cfg.T,
-                         epsilon=cfg.epsilon, mode=cfg.mode,
-                         mc_samples=cfg.mc_samples,
-                         enumeration_cap=cfg.enumeration_cap)
-    else:
-        hp = HyperParams(k=cfg.k, eta=cfg.eta, gamma=cfg.gamma, T=cfg.T,
-                         epsilon=cfg.epsilon, mode=cfg.mode,
-                         mc_samples=cfg.mc_samples,
-                         enumeration_cap=cfg.enumeration_cap)
-    return root, data, qp, kp, hp
+    return root, data, qp, kp, _hyperparams(cfg, data.delta)
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     root, data, qp, kp, hp = _setup(cfg)
+    hp = dataclasses.replace(hp, mode=cfg.mode)
     trace, qp_final, kp_final = train(qp, kp, data, hp, rng=root.child("mc-loss"))
     out.mkdir(parents=True, exist_ok=True)
     emit_trace(trace, out / "trace.csv")
@@ -173,15 +175,21 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     g = grad_params(qp, kp, data, hp)
     fd = fd_gradient(lambda a, b_: total_loss_exact(encode_batch(a, b_, data), small.k), qp, kp)
     km = kink_mask(qp, kp, data, 1e-4)
+    # Absolute floor: a central difference's rounding error.  Each loss value
+    # is exact to a few ulps of |loss| (8 allowed, for the forward pass and the
+    # mean over subsets), so (L(+h) - L(-h)) / 2h is off by up to 8 eps |loss| / h
+    # whatever the entry's size: about 2e-11 at |loss| ~ 1 and h = 1e-4.
+    rtol = 1e-4
+    floor = 8 * np.finfo(np.float64).eps * abs(g.loss) / DEFAULT_FD_STEP
     rel = 0.0
     for an, num, masks in ((g.grad_w, fd[0], km.query), (g.grad_theta, fd[1], km.key)):
         for a_l, n_l, kinked in zip(an.weights, num.weights, masks):
             free = ~kinked
             if not np.any(free):
                 continue
-            err = np.abs(a_l - n_l) / np.maximum(np.abs(n_l), 1e-8)
+            err = np.abs(a_l - n_l) / np.maximum(np.abs(n_l), floor / rtol)
             rel = max(rel, float(err[free].max()))
-    results["grad_matches_finite_differences"] = rel <= 1e-4
+    results["grad_matches_finite_differences"] = rel <= rtol
 
     exact = total_loss_exact(batch, small.k)
     est, stderr = total_loss_mc(batch, small.k, root.child("verify-mc"), samples=4000)
@@ -217,6 +225,8 @@ def _run_probe(name: str, cfg: ExperimentConfig, root: RngState,
 
 
 def cmd_probe(cfg: ExperimentConfig, out: Path) -> int:
+    if not cfg.probes:
+        raise ConfigError("probe needs at least one probe name")
     root, data, qp, kp, hp = _setup(cfg)
     out.mkdir(parents=True, exist_ok=True)
     any_fail = any_inconclusive = False
@@ -241,8 +251,7 @@ def cmd_probe(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out: Path, m_grid: tuple[int, ...]) -> int:
     root = RngState(seed=cfg.seed)
     data = generate_separated(root.child("data"), cfg.n, cfg.b, cfg.delta_min)
-    hp = HyperParams(k=cfg.k, eta=cfg.eta, gamma=cfg.gamma, T=cfg.T,
-                     epsilon=cfg.epsilon, enumeration_cap=cfg.enumeration_cap)
+    hp = _hyperparams(cfg, data.delta)
 
     def one(m: int) -> dict:
         shape = Shape(L=cfg.L, m=m, d=cfg.d, b=cfg.b)
@@ -252,8 +261,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, m_grid: tuple[int, ...]) -> int:
         return {
             "m": m,
             "loss": g.loss,
-            "grad_w_sq": sum(float(np.sum(x**2)) for x in g.grad_w.weights),
-            "grad_theta_sq": sum(float(np.sum(x**2)) for x in g.grad_theta.weights),
+            "grad_w_sq": sum_of_squares(g.grad_w.weights),
+            "grad_theta_sq": sum_of_squares(g.grad_theta.weights),
             "losstilde_norm": g.loss_vectors.tilde_norm,
             "losshat_norm": g.loss_vectors.hat_norm,
         }
@@ -280,6 +289,16 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, m_grid: tuple[int, ...]) -> int:
     print(f"sweep: slope grad_w {fit_w.slope:.3f} (R2={fit_w.r2:.4f}), "
           f"grad_theta {fit_t.slope:.3f} (R2={fit_t.r2:.4f})")
     return EXIT_PASS
+
+
+def _parse_m_grid(text: str) -> tuple[int, ...]:
+    try:
+        grid = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--m-grid must be comma-separated integers, got {text!r}") from None
+    if min(grid) < 1 or len(set(grid)) < 2:
+        raise ConfigError(f"--m-grid needs two or more distinct positive widths, got {text!r}")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,8 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(cfg, out)
         if args.command == "probe":
             return cmd_probe(cfg, out)
-        grid = tuple(int(x) for x in args.m_grid.split(","))
-        return cmd_sweep(cfg, out, grid)
+        return cmd_sweep(cfg, out, _parse_m_grid(args.m_grid))
     except ContrastLabError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL

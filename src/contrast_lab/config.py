@@ -32,17 +32,28 @@ class ExperimentConfig:
     eta: float = DEFAULT_ETA
     gamma: float = DEFAULT_GAMMA
     T: int = 200
-    mode: str = "exact"                   # loss expectation: "exact" | "mc"
+    mode: str = "exact"                   # train's loss: "exact" | "monte-carlo"
     mc_samples: int = 2000
     enumeration_cap: int = 10**6
     probes: tuple[str, ...] = KNOWN_PROBES
     out_dir: str = "out"
 
     def validate(self) -> None:
-        for name in ("n", "k", "L", "m", "d", "b", "T", "mc_samples", "enumeration_cap"):
+        for name in ("seed", "n", "k", "L", "m", "d", "b", "T", "mc_samples", "enumeration_cap"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            # bool is an int subclass: "T": true would otherwise run one step
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "seed":
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("delta_min", "epsilon", "eta", "gamma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
+        if self.b < 2:
+            raise ConfigError(f"b must be at least 2, got {self.b}")
         if self.k > self.n - 1:
             raise ConfigError("k must be ≤ n−1")
         if not 0.0 < self.epsilon < 1.0:
@@ -51,8 +62,8 @@ class ExperimentConfig:
             raise ConfigError(f"delta_min must lie in (0, sqrt(2)), got {self.delta_min}")
         if self.step_mode not in ("practical", "theoretical"):
             raise ConfigError(f"step_mode must be practical or theoretical, got {self.step_mode!r}")
-        if self.mode not in ("exact", "mc"):
-            raise ConfigError(f"mode must be exact or mc, got {self.mode!r}")
+        if self.mode not in ("exact", "monte-carlo"):
+            raise ConfigError(f"mode must be exact or monte-carlo, got {self.mode!r}")
         if self.eta <= 0 or self.gamma <= 0:
             raise ConfigError("eta and gamma must be positive")
         unknown = [p for p in self.probes if p not in KNOWN_PROBES]

@@ -68,12 +68,6 @@ class LossVectors:
     def total_norm(self) -> float:
         return math.hypot(self.tilde_norm, self.hat_norm)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "losstilde": [[float(v) for v in row] for row in self.losstilde],
-            "losshat": [[float(v) for v in row] for row in self.losshat],
-        }
-
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -95,6 +89,15 @@ class HyperParams:
             raise ValueError("T must be >= 1")
         if self.mode not in ("exact", "monte-carlo"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+def _draw_subsets(gen: np.random.Generator, samples: int, n: int, k: int) -> np.ndarray:
+    """(samples, n, k) uniform k-subsets of the n-1 others of each anchor, as
+    indices relative to [n] minus the anchor: the k smallest of n-1 i.i.d.
+    uniforms sit at a uniformly random k-subset of positions."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    return np.argpartition(gen.random((samples, n, n - 1)), k - 1, axis=2)[:, :, :k]
 
 
 @lru_cache(maxsize=64)
@@ -152,19 +155,6 @@ def _per_sample_stats(
     return losses, c, z
 
 
-def sample_loss(batch: EncodedBatch, i: int, negs) -> float:
-    """Loss of sample i against one specific set of negatives."""
-    negs = list(negs)
-    if i in negs or len(set(negs)) != len(negs):
-        raise IndexError(f"negatives must be distinct and exclude {i}: {negs}")
-    if any(not 0 <= j < batch.n for j in negs):
-        raise IndexError(f"negative index out of range: {negs}")
-    z = batch.keys[negs] - batch.keys[i]
-    logits = z @ batch.queries[i]
-    hi = max(float(np.max(logits)), 0.0)
-    return hi + math.log(math.exp(-hi) + float(np.sum(np.exp(logits - hi))))
-
-
 def total_loss_exact(
     batch: EncodedBatch, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> float:
@@ -183,15 +173,11 @@ def total_loss_mc(
     """Unbiased Monte-Carlo estimate of the exact loss, with standard error."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if not 1 <= k <= batch.n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={batch.n}")
-    gen = rng.generator()
     n = batch.n
     # logits[i, j] = q_i . (k_j - k_i)
     cross = batch.queries @ batch.keys.T
     logits = cross - np.diag(cross)[:, None]
-    # uniform k-subsets of the n-1 others, for every (sample, anchor) at once
-    rel = np.argpartition(gen.random((samples, n, n - 1)), k - 1, axis=2)[:, :, :k]
+    rel = _draw_subsets(rng.generator(), samples, n, k)
     absolute = rel + (rel >= np.arange(n)[None, :, None])
     g = np.take_along_axis(
         np.broadcast_to(logits, (samples, n, n)), absolute, axis=2
@@ -204,14 +190,6 @@ def total_loss_mc(
     est = float(np.mean(draws))
     stderr = float(np.std(draws, ddof=1) / math.sqrt(samples))
     return est, stderr
-
-
-def _sampled_subsets(n: int, i: int, k: int, gen: np.random.Generator, count: int) -> np.ndarray:
-    """Uniform k-subsets in *relative* index space (indices into [n]\\{i})."""
-    out = np.empty((count, k), dtype=np.intp)
-    for s in range(count):
-        out[s] = np.sort(gen.choice(n - 1, size=k, replace=False))
-    return out
 
 
 def loss_and_vectors(
@@ -232,11 +210,11 @@ def loss_and_vectors(
     n, d = batch.queries.shape
     if mode == "exact":
         _check_cap(n, k, cap)
-        gen = None
+        sampled = None
     elif mode == "monte-carlo":
         if rng is None:
             raise ValueError("monte-carlo mode needs an rng")
-        gen = rng.generator()
+        sampled = _draw_subsets(rng.generator(), mc_samples, n, k)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -244,10 +222,7 @@ def loss_and_vectors(
     losstilde = np.zeros((n, d))
     total = 0.0
     for i in range(n):
-        if gen is None:
-            subsets = _relative_subsets(n - 1, k)
-        else:
-            subsets = _sampled_subsets(n, i, k, gen, mc_samples)
+        subsets = _relative_subsets(n - 1, k) if sampled is None else sampled[:, i]
         losses, c, z = _per_sample_stats(batch, i, subsets)
         total += float(np.mean(losses))
         coeff[i] = c
@@ -258,16 +233,6 @@ def loss_and_vectors(
     # Antisymmetric pairwise combination; summing losshat over i telescopes to 0.
     losshat = coeff.T @ batch.queries - coeff.sum(axis=1)[:, None] * batch.queries
     return total, LossVectors(losstilde=losstilde, losshat=losshat)
-
-
-def losstilde(batch: EncodedBatch, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    _, lv = loss_and_vectors(batch, k, cap=cap)
-    return lv.losstilde
-
-
-def losshat_all(batch: EncodedBatch, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    _, lv = loss_and_vectors(batch, k, cap=cap)
-    return lv.losshat
 
 
 def losshat_pair(

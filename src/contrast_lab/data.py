@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, ShapeError
+from .errors import GenerationError
 from .rng import RngState
 
 SQRT2 = math.sqrt(2.0)
@@ -29,34 +28,9 @@ class Dataset:
     def b(self) -> int:
         return self.points.shape[1]
 
-    def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "b": self.b,
-            "delta": self.delta,
-            "points": [[repr(float(v)) for v in row] for row in self.points],
-        }
-        # floats are serialized via repr (17 significant digits) so the
-        # round-trip is value-exact
-        return json.dumps(
-            {
-                "n": doc["n"],
-                "b": doc["b"],
-                "delta": float(repr(self.delta)),
-                "points": [[float(s) for s in row] for row in doc["points"]],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Dataset":
-        doc = json.loads(text)
-        pts = np.asarray(doc["points"], dtype=np.float64)
-        if pts.shape != (doc["n"], doc["b"]):
-            raise ShapeError("points array does not match declared (n, b)")
-        return Dataset(points=pts, delta=float(doc["delta"]))
-
 
 def min_pairwise_distance(points: np.ndarray) -> float:
+    """Smallest Euclidean distance between two rows of ``points``."""
     n = points.shape[0]
     best = math.inf
     for i in range(n - 1):
@@ -98,40 +72,4 @@ def generate_separated(
         f"no {delta_min}-separated set of {n} points in R^{b} "
         f"after {max_attempts} attempts",
         attempts=max_attempts,
-    )
-
-
-def simplex_dataset(n: int, b: int) -> Dataset:
-    """Deterministic equidistant points: regular simplex vertices on the sphere.
-
-    Requires n <= b.  All pairwise distances equal sqrt(2 n / (n - 1)) / ...
-    realized delta is computed, not assumed.
-    """
-    if n < 2 or n > b:
-        raise ValueError(f"simplex construction needs 2 <= n <= b, got n={n}, b={b}")
-    pts = np.zeros((n, b))
-    pts[:, :n] = np.eye(n)
-    pts[:, :n] -= 1.0 / n
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return Dataset(points=pts, delta=min_pairwise_distance(pts))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    max_norm_deviation: float
-    min_distance: float
-    stored_delta: float
-    ok: bool
-
-
-def validate_dataset(data: Dataset, norm_tol: float = 1e-12) -> ValidationReport:
-    norms = np.linalg.norm(data.points, axis=1)
-    max_dev = float(np.max(np.abs(norms - 1.0)))
-    min_dist = min_pairwise_distance(data.points)
-    ok = max_dev <= norm_tol and min_dist >= data.delta - 1e-12 and data.delta > 0
-    return ValidationReport(
-        max_norm_deviation=max_dev,
-        min_distance=min_dist,
-        stored_delta=data.delta,
-        ok=ok,
     )

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import gaussian_matrix, spectral_norm
+from .linalg import gaussian_matrix
 from .rng import RngState
 
 
@@ -54,19 +56,9 @@ class Params:
             w.flags.writeable = False
 
     def frobenius_distance(self, other: "Params") -> float:
-        self._check_compatible(other)
-        return float(
-            np.sqrt(
-                sum(
-                    float(np.sum((a - b) ** 2))
-                    for a, b in zip(self.weights, other.weights)
-                )
-            )
-        )
-
-    def _check_compatible(self, other: "Params") -> None:
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return math.sqrt(sum_of_squares(a - b for a, b in zip(self.weights, other.weights)))
 
     def to_bytes(self) -> bytes:
         """Binary container: one JSON header line, then raw little-endian
@@ -95,6 +87,20 @@ class Params:
             weights.append(w.copy())
             offset += count * 8
         return Params(shape=shape, weights=tuple(weights))
+
+
+def sum_of_squares(arrays: Iterable[np.ndarray]) -> float:
+    """Sum of the squared entries of every array, accumulated array by array
+    (the squared Frobenius norm of a weight stack)."""
+    # Squared straight off the iterator, never bound to a name, so numpy can
+    # square a temporary such as a - b in place instead of allocating another.
+    arrays = iter(arrays)
+    total = 0.0
+    while True:
+        try:
+            total += float(np.sum(next(arrays) ** 2))
+        except StopIteration:
+            return total
 
 
 def init_params(rng: RngState, shape: Shape) -> Params:
@@ -185,47 +191,3 @@ def backprop_matrix(p: Params, trace: ForwardTrace, l: int) -> np.ndarray:
     for a in range(L - 1, l - 1, -1):
         mat = (mat * trace.masks[a]) @ p.weights[a]
     return mat
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    layer_spectral_norms: tuple[float, ...]
-    total_frobenius: float
-
-
-def apply_perturbation(
-    p: Params, q: Params, scale: float
-) -> tuple[Params, PerturbationReport]:
-    """p + scale * q, plus the per-layer spectral and total Frobenius size
-    of the applied perturbation."""
-    p._check_compatible(q)
-    new_weights, spec, fro_sq = [], [], 0.0
-    for wp, wq in zip(p.weights, q.weights):
-        delta = scale * wq
-        new_weights.append(wp + delta)
-        spec.append(0.0 if scale == 0.0 else spectral_norm(delta, tol=1e-6))
-        fro_sq += float(np.sum(delta**2))
-    return (
-        Params(shape=p.shape, weights=tuple(new_weights)),
-        PerturbationReport(
-            layer_spectral_norms=tuple(spec), total_frobenius=float(np.sqrt(fro_sq))
-        ),
-    )
-
-
-def sign_correction(a: np.ndarray, bvec: np.ndarray) -> np.ndarray:
-    """Diagonal correction D'' with relu(a) - relu(b) = (D + D'')(a - b),
-    where D = 1{a >= 0}.  Zero wherever the activation indicators agree or
-    a == b; entries satisfy |D + D''| <= 1 always."""
-    a = np.asarray(a, dtype=np.float64)
-    bvec = np.asarray(bvec, dtype=np.float64)
-    if a.shape != bvec.shape or a.ndim != 1:
-        raise ShapeError(f"expected equal-length vectors, got {a.shape}, {bvec.shape}")
-    d = (a >= 0.0).astype(np.float64)
-    diff = a - bvec
-    relu_diff = np.maximum(a, 0.0) - np.maximum(bvec, 0.0)
-    ratio = np.divide(relu_diff, diff, out=d.copy(), where=diff != 0.0)
-    dpp = ratio - d
-    dpp[diff == 0.0] = 0.0
-    dpp[(a >= 0.0) == (bvec >= 0.0)] = 0.0
-    return dpp

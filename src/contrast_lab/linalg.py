@@ -99,7 +99,3 @@ def logsumexp(values: Sequence[float]) -> float:
     if not np.isfinite(hi):
         return hi
     return hi + math.log(float(np.sum(np.exp(v - hi))))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))

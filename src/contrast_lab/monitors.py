@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .contrastive import HyperParams, encode_batch, grad_params, total_loss_exact
-from .data import Dataset
-from .encoder import BatchTrace, Params, Shape, forward_batch, init_params
+from .data import Dataset, min_pairwise_distance
+from .encoder import BatchTrace, Params, Shape, forward_batch, init_params, sum_of_squares
 from .errors import EvaluationError
 from .linalg import logsumexp, spectral_norm
 from .rng import RngState
@@ -84,13 +84,6 @@ class ProbeReport:
 
 # ---------------------------------------------------------------------------
 # initialization geometry
-
-
-def _pairwise_min_distance(columns: np.ndarray) -> float:
-    diffs = columns[:, :, None] - columns[:, None, :]
-    dist = np.sqrt(np.sum(diffs**2, axis=0))
-    n = dist.shape[0]
-    return float(np.min(dist[~np.eye(n, dtype=bool)]))
 
 
 def masked_chain_norms(p: Params, trace: BatchTrace, a: int, b: int,
@@ -200,7 +193,7 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
         trace = forward_batch(p, xs)
         for h in trace.hidden:
             max_dev = max(max_dev, float(np.max(np.abs(np.linalg.norm(h, axis=0) - 1.0))))
-            min_sep_ratio = min(min_sep_ratio, _pairwise_min_distance(h) / data.delta)
+            min_sep_ratio = min(min_sep_ratio, min_pairwise_distance(h.T) / data.delta)
         max_out = max(max_out, float(np.max(np.linalg.norm(trace.outputs, axis=0))))
         if L >= 2:
             for a in range(1, L):
@@ -267,8 +260,8 @@ def gradient_bound_probe(
         qp = init_params(rng.child(f"w-{m}"), shape)
         kp = init_params(rng.child(f"theta-{m}"), shape)
         g = grad_params(qp, kp, data, hp)
-        w2 = sum(float(np.sum(gr**2)) for gr in g.grad_w.weights)
-        t2 = sum(float(np.sum(gr**2)) for gr in g.grad_theta.weights)
+        w2 = sum_of_squares(g.grad_w.weights)
+        t2 = sum_of_squares(g.grad_theta.weights)
         lt2 = g.loss_vectors.tilde_norm**2
         lh2 = g.loss_vectors.hat_norm**2
         gw2.append(w2)
@@ -316,7 +309,7 @@ def _unit_frobenius_directions(qp: Params, kp: Params, rng: RngState) -> tuple[l
     gen = rng.generator()
     u = [gen.standard_normal(w.shape) for w in qp.weights]
     v = [gen.standard_normal(w.shape) for w in kp.weights]
-    total = math.sqrt(sum(float(np.sum(a**2)) for a in u + v))
+    total = math.sqrt(sum_of_squares(u + v))
     return [a / total for a in u], [a / total for a in v]
 
 

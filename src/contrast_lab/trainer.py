@@ -10,7 +10,7 @@ import numpy as np
 
 from .contrastive import GradResult, HyperParams, grad_params
 from .data import Dataset
-from .encoder import Params
+from .encoder import Params, sum_of_squares
 from .errors import DivergenceError
 from .linalg import spectral_norm
 from .rng import RngState
@@ -72,10 +72,6 @@ class TrainTrace:
         return float(np.mean(norms[:-1])) if len(norms) > 1 else float(norms[0])
 
 
-def _frobenius(p: Params) -> float:
-    return math.sqrt(sum(float(np.sum(w**2)) for w in p.weights))
-
-
 def _layer_spectral_dists(p: Params, ref: Params) -> tuple[float, ...]:
     return tuple(
         spectral_norm(w - w0, tol=1e-3) if not np.array_equal(w, w0) else 0.0
@@ -94,8 +90,8 @@ def _record(
         losstilde_norm=lv.tilde_norm,
         losshat_norm=lv.hat_norm,
         loss_vec_norm=lv.total_norm,
-        grad_w_fro=_frobenius(g.grad_w),
-        grad_theta_fro=_frobenius(g.grad_theta),
+        grad_w_fro=math.sqrt(sum_of_squares(g.grad_w.weights)),
+        grad_theta_fro=math.sqrt(sum_of_squares(g.grad_theta.weights)),
         traj_w_fro=qp.frobenius_distance(qp0),
         traj_theta_fro=kp.frobenius_distance(kp0),
         layer_spectral_dist_w=_layer_spectral_dists(qp, qp0),

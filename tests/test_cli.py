@@ -84,11 +84,6 @@ class TestEmitTrace:
             _, _, tilde, hat, stacked = cells[:5]
             assert stacked == pytest.approx(math.hypot(tilde, hat), rel=1e-15)
 
-    def test_step_ms_zeroed_by_default(self, tiny_trace, tmp_path):
-        out = tmp_path / "trace.csv"
-        emit_trace(tiny_trace, out)
-        assert all(line.endswith(",0") for line in out.read_text().splitlines()[1:])
-
     def test_long_format_export(self, tiny_trace, tmp_path):
         out = tmp_path / "long.csv"
         export_long_format(tiny_trace, out)
@@ -160,3 +155,41 @@ class TestCommands:
         path = tmp_path / "bad.json"
         path.write_text('{"n": 8, "k": 9, "L": 3, "m": 8, "d": 4, "b": 4}')
         assert main(["train", "--config", str(path)]) == EXIT_FAIL
+
+    @pytest.mark.parametrize("overrides, argv", [
+        ({"b": 1}, ["train"]),
+        ({"mode": "mc"}, ["train"]),
+        ({"T": True}, ["train"]),
+        ({"eta": "0.1"}, ["train"]),
+        ({"out_dir": 5}, ["train"]),
+        ({}, ["sweep", "--m-grid", "32,x"]),
+        ({}, ["sweep", "--m-grid", "32"]),
+        ({"probes": []}, ["probe"]),
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, overrides, argv):
+        cfg = _write_config(tmp_path, **overrides)
+        out = tmp_path / "bad"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_monte_carlo_mode(self, tmp_path):
+        cfg = _write_config(tmp_path, T=3, mode="monte-carlo", mc_samples=200)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--config", cfg, "--out", str(a)]) == EXIT_PASS
+        assert main(["train", "--config", cfg, "--out", str(b)]) == EXIT_PASS
+        for name in ("trace.csv", "plot_data.csv", "summary.json",
+                     "params_query.bin", "params_key.bin"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--m-grid", "16,32"]) in (EXIT_PASS, EXIT_INCONCLUSIVE)
+        assert main(["probe", "--config", cfg, "--out", str(tmp_path / "p"),
+                     "--probes", "gradient"]) in (EXIT_PASS, EXIT_INCONCLUSIVE)
+
+    def test_verify_passes_where_rounding_broke_it(self, tmp_path):
+        # At this seed one gradient entry of 7.46e-9 differs from its central
+        # difference by 1.1e-12, which is rounding, not a wrong gradient.
+        cfg = _write_config(tmp_path, n=8, k=2, L=3, m=512, d=32, b=16, T=200,
+                            eta=0.0625, gamma=0.0625, seed=2017931360)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_PASS

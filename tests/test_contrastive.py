@@ -10,10 +10,7 @@ from contrast_lab.contrastive import (
     encode_batch,
     grad_params,
     loss_and_vectors,
-    losshat_all,
     losshat_pair,
-    losstilde,
-    sample_loss,
     total_loss_exact,
     total_loss_mc,
 )
@@ -50,7 +47,7 @@ class TestClosedFormsTinyCase:
 
     def test_losstilde(self):
         q, key = self.batch.queries, self.batch.keys
-        got = losstilde(self.batch, 1)
+        got = loss_and_vectors(self.batch, 1)[1].losstilde
         for i in (0, 1):
             z = key[1 - i] - key[i]
             p = 1.0 / (1.0 + math.exp(-(q[i] @ z)))
@@ -58,7 +55,7 @@ class TestClosedFormsTinyCase:
 
     def test_losshat(self):
         q, key = self.batch.queries, self.batch.keys
-        got = losshat_all(self.batch, 1)
+        got = loss_and_vectors(self.batch, 1)[1].losshat
         pair = {}
         for i in (0, 1):
             z = key[1 - i] - key[i]
@@ -69,7 +66,7 @@ class TestClosedFormsTinyCase:
 
 def test_losshat_sums_to_zero(gen):
     batch = random_batch(gen, 7, 5)
-    hat = losshat_all(batch, 3)
+    hat = loss_and_vectors(batch, 3)[1].losshat
     assert np.linalg.norm(hat.sum(axis=0)) <= 1e-12 * np.linalg.norm(hat)
 
 
@@ -84,16 +81,6 @@ def test_loss_invariant_under_key_translation(gen):
         total_loss_exact(batch, 2), rel=1e-13)
 
 
-def test_sample_loss_validates_negatives(gen):
-    batch = random_batch(gen, 5, 3)
-    with pytest.raises(IndexError):
-        sample_loss(batch, 2, [2, 3])
-    with pytest.raises(IndexError):
-        sample_loss(batch, 0, [1, 1])
-    with pytest.raises(IndexError):
-        sample_loss(batch, 0, [7])
-
-
 def test_losshat_pair_rejects_diagonal(gen):
     batch = random_batch(gen, 5, 3)
     with pytest.raises(IndexError):
@@ -103,7 +90,7 @@ def test_losshat_pair_rejects_diagonal(gen):
 def test_losshat_assembles_from_pairs(gen):
     batch = random_batch(gen, 6, 4)
     k = 2
-    hat = losshat_all(batch, k)
+    hat = loss_and_vectors(batch, k)[1].losshat
     for i in range(6):
         acc = np.zeros(4)
         for j in range(6):
@@ -113,12 +100,10 @@ def test_losshat_assembles_from_pairs(gen):
         assert np.allclose(hat[i], acc, atol=1e-13)
 
 
-def test_loss_and_vectors_matches_wrappers(gen):
+def test_loss_and_vectors_matches_total_loss_exact(gen):
     batch = random_batch(gen, 6, 4)
-    loss, lv = loss_and_vectors(batch, 2)
+    loss, _ = loss_and_vectors(batch, 2)
     assert loss == pytest.approx(total_loss_exact(batch, 2), rel=1e-14)
-    assert np.array_equal(lv.losstilde, losstilde(batch, 2))
-    assert np.array_equal(lv.losshat, losshat_all(batch, 2))
 
 
 def test_enumeration_cap_enforced(gen):
@@ -133,6 +118,40 @@ def test_mc_estimate_near_exact(gen):
     est, stderr = total_loss_mc(batch, 2, RngState(seed=99), samples=20_000)
     assert stderr > 0
     assert abs(est - exact) <= 4 * stderr
+
+
+def test_mc_loss_vectors_near_exact(gen):
+    """The Monte-Carlo loss and loss vectors lie within 5 standard errors of
+    the exact ones, entry by entry.  Each is a sum over anchors of means of
+    i.i.d. draws of a per-subset quantity, so its standard error follows from
+    the per-subset variances, enumerated here from the exact distribution."""
+    n, d, k, samples = 6, 4, 2, 4000
+    batch = random_batch(gen, n, d)
+    q, keys = batch.queries, batch.keys
+    exact_loss, exact = loss_and_vectors(batch, k)
+    mc_loss, mc = loss_and_vectors(batch, k, mode="monte-carlo", mc_samples=samples,
+                                   rng=RngState(seed=31))
+    var_loss, var_tilde, var_hat = 0.0, np.zeros((n, d)), np.zeros((n, d))
+    for a in range(n):
+        loss_draws, tilde_draws, hat_draws = [], [], []
+        for subset in combinations([j for j in range(n) if j != a], k):
+            logits = np.array([q[a] @ (keys[j] - keys[a]) for j in subset])
+            denom = 1.0 + np.sum(np.exp(logits))
+            weights = np.exp(logits) / denom
+            loss_draws.append(math.log(denom) / n)
+            tilde_draws.append(sum(w * (keys[j] - keys[a]) for w, j in zip(weights, subset)))
+            hat = np.zeros((n, d))
+            hat[a] -= weights.sum() * q[a]
+            for w, j in zip(weights, subset):
+                hat[j] += w * q[a]
+            hat_draws.append(hat)
+        var_loss += np.var(loss_draws)
+        var_tilde[a] = np.var(tilde_draws, axis=0)
+        var_hat += np.var(hat_draws, axis=0)
+    z = 5 / math.sqrt(samples)
+    assert abs(mc_loss - exact_loss) <= z * math.sqrt(var_loss)
+    assert np.all(np.abs(mc.losstilde - exact.losstilde) <= z * np.sqrt(var_tilde))
+    assert np.all(np.abs(mc.losshat - exact.losshat) <= z * np.sqrt(var_hat))
 
 
 def test_hyperparams_validation():

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from contrast_lab.data import (
-    Dataset,
-    generate_separated,
-    min_pairwise_distance,
-    simplex_dataset,
-    validate_dataset,
-)
+from contrast_lab.data import generate_separated, min_pairwise_distance
 from contrast_lab.errors import GenerationError
 from contrast_lab.rng import RngState
 
@@ -19,6 +13,9 @@ def test_generated_points_are_unit_norm_and_separated():
     assert min_pairwise_distance(data.points) >= 0.5
     # stored delta is the realized separation, not the requested minimum
     assert data.delta == pytest.approx(min_pairwise_distance(data.points))
+    pts = data.points
+    brute = min(np.linalg.norm(pts[i] - pts[j]) for i in range(8) for j in range(i))
+    assert min_pairwise_distance(pts) == pytest.approx(brute, rel=1e-15)
 
 
 def test_generation_is_deterministic():
@@ -40,35 +37,3 @@ def test_infeasible_request_exhausts_budget():
     # 12 points on the unit circle cannot be pairwise 1.4 apart
     with pytest.raises(GenerationError):
         generate_separated(RngState(seed=1), 12, 2, 1.4)
-
-
-def test_simplex_dataset_geometry():
-    data = simplex_dataset(5, 8)
-    assert np.allclose(np.linalg.norm(data.points, axis=1), 1.0, atol=1e-12)
-    dists = [
-        np.linalg.norm(data.points[i] - data.points[j])
-        for i in range(5) for j in range(i + 1, 5)
-    ]
-    # all pairs equidistant by symmetry
-    assert np.ptp(dists) < 1e-12
-    assert data.delta == pytest.approx(dists[0])
-
-
-def test_json_round_trip_is_exact():
-    data = generate_separated(RngState(seed=2), 5, 4, 0.3)
-    back = Dataset.from_json(data.to_json())
-    assert np.array_equal(back.points, data.points)
-    assert back.delta == data.delta
-
-
-def test_validate_dataset_accepts_generated():
-    data = generate_separated(RngState(seed=2), 5, 4, 0.3)
-    report = validate_dataset(data)
-    assert report.ok
-    assert report.max_norm_deviation < 1e-12
-
-
-def test_validate_dataset_flags_bad_norms():
-    pts = np.full((3, 4), 0.5)
-    bad = Dataset(points=pts * 2.0, delta=0.1)
-    assert not validate_dataset(bad).ok

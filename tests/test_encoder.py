@@ -1,18 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from contrast_lab.encoder import (
     Params,
     Shape,
-    apply_perturbation,
     backprop_matrix,
     forward_batch,
     forward_trace,
     init_params,
-    sign_correction,
+    sum_of_squares,
     zeros_like_params,
 )
 from contrast_lab.errors import ShapeError
@@ -107,43 +105,20 @@ def test_params_are_immutable(small_nets):
         qp.weights[0][0, 0] = 1.0
 
 
-def test_apply_perturbation_reports_layer_norms(small_nets, small_shape):
+def test_frobenius_distance_of_a_shift(small_nets, small_shape):
     qp, _ = small_nets
     direction = init_params(RngState(seed=23), small_shape)
-    shifted, report = apply_perturbation(qp, direction, scale=0.1)
-    assert len(report.layer_spectral_norms) == small_shape.L + 1
+    shifted = _params_from(small_shape, [w + 0.1 * g for w, g in zip(qp.weights, direction.weights)])
+    stacked = np.concatenate([g.ravel() for g in direction.weights])
     assert shifted.frobenius_distance(qp) == pytest.approx(
-        report.total_frobenius, rel=1e-12)
-    unchanged, report0 = apply_perturbation(qp, direction, scale=0.0)
-    assert unchanged.frobenius_distance(qp) == 0.0
-    assert report0.total_frobenius == 0.0
+        0.1 * np.linalg.norm(stacked), rel=1e-12)
+    assert math.sqrt(sum_of_squares(direction.weights)) == pytest.approx(
+        np.linalg.norm(stacked), rel=1e-14)
+    assert qp.frobenius_distance(qp) == 0.0
+    with pytest.raises(ShapeError):
+        qp.frobenius_distance(zeros_like_params(Shape(L=2, m=4, d=2, b=3)))
 
 
 def test_zeros_like_params(small_shape):
     z = zeros_like_params(small_shape)
     assert all(np.all(w == 0.0) for w in z.weights)
-
-
-class TestSignCorrection:
-    @given(
-        arrays(np.float64, (6,), elements=st.floats(-5, 5)),
-        arrays(np.float64, (6,), elements=st.floats(-5, 5)),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_reconstruction_is_exact(self, a, b):
-        d = (a >= 0).astype(np.float64)
-        corr = sign_correction(a, b)
-        got = (d + corr) * (a - b)
-        want = np.maximum(a, 0) - np.maximum(b, 0)
-        assert np.allclose(got, want, atol=1e-12 * (1 + np.abs(want).max()))
-
-    def test_zero_where_signs_agree(self):
-        a = np.array([1.0, -1.0, 2.0])
-        b = np.array([3.0, -0.5, 0.25])
-        assert np.array_equal(sign_correction(a, b), np.zeros(3))
-
-    def test_mixed_sign_entry(self):
-        # a = 1 active, b = -1 inactive: sigma(a) - sigma(b) = 1, a - b = 2,
-        # so the correction must shift the indicator from 1 to 1/2
-        corr = sign_correction(np.array([1.0]), np.array([-1.0]))
-        assert corr[0] == pytest.approx(-0.5)
