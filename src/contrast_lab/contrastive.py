@@ -24,6 +24,8 @@ from .errors import EnumerationError, ShapeError
 from .rng import RngState
 
 DEFAULT_ENUMERATION_CAP = 10**6
+# Samples per block of the Monte-Carlo subset draw; bounds its transient memory.
+DRAW_BLOCK_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,14 @@ class HyperParams:
 def _draw_subsets(gen: np.random.Generator, samples: int, n: int, k: int) -> np.ndarray:
     """(samples, n, k) uniform k-subsets of the n-1 others of each anchor, as
     indices relative to [n] minus the anchor: the k smallest of n-1 i.i.d.
-    uniforms sit at a uniformly random k-subset of positions."""
+    uniforms sit at a uniformly random k-subset of positions.  Blocks along
+    the sample axis take the same stream as one (samples, n, n-1) draw."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    return np.argpartition(gen.random((samples, n, n - 1)), k - 1, axis=2)[:, :, :k]
+    out = np.empty((samples, n, k), dtype=np.intp)
+    for block in np.split(out, range(DRAW_BLOCK_SAMPLES, samples, DRAW_BLOCK_SAMPLES)):
+        block[...] = np.argpartition(gen.random((len(block), n, n - 1)), k - 1, axis=2)[:, :, :k]
+    return out
 
 
 @lru_cache(maxsize=64)

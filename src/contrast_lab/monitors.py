@@ -150,7 +150,7 @@ def _backward_chain_ratios(p: Params, trace: BatchTrace, n_probes: int = 8) -> f
 
 
 def hidden_norm_radius(shape: Shape, n: int) -> float:
-    """Radius eps of the band ||h|| in [1 - eps, 1 + eps] that a correct He
+    """Radius eps of the band |log ||h||| <= log(1 + eps) that a correct He
     initialization leaves with probability at most
     ``HIDDEN_NORM_FALSE_FAILURE_P`` (p = 1e-3) over both nets, all n samples
     and all L hidden layers.
@@ -172,8 +172,8 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
     """Geometry of a fresh initialization: hidden norms near 1, bounded
     outputs, preserved pairwise separation, and bounded masked weight chains.
 
-    ``epsilon`` is the hidden-norm radius; by default it is derived from the
-    shape and the sample count by ``hidden_norm_radius``.
+    ``epsilon`` is the radius of |log ||h||| <= log(1 + epsilon), by default
+    ``hidden_norm_radius``; the reported deviation is exp(max |log ||h|||) - 1.
     """
     shape = qp.shape
     L = shape.L
@@ -184,7 +184,7 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
         notes.append(
             "hidden-norm radius exp(z sqrt(5L/(4m))) - 1 with "
             f"z = Phi^-1(1 - p/(4nL)), p = {HIDDEN_NORM_FALSE_FAILURE_P:g}")
-    max_dev = 0.0
+    max_log_dev = 0.0
     max_out = 0.0
     min_sep_ratio = math.inf
     max_chain = 0.0
@@ -192,7 +192,9 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
     for p in (qp, kp):
         trace = forward_batch(p, xs)
         for h in trace.hidden:
-            max_dev = max(max_dev, float(np.max(np.abs(np.linalg.norm(h, axis=0) - 1.0))))
+            with np.errstate(divide="ignore"):  # a dead sample's log norm is -inf
+                log_norms = np.log(np.linalg.norm(h, axis=0))
+            max_log_dev = max(max_log_dev, float(np.max(np.abs(log_norms))))
             min_sep_ratio = min(min_sep_ratio, min_pairwise_distance(h.T) / data.delta)
         max_out = max(max_out, float(np.max(np.linalg.norm(trace.outputs, axis=0))))
         if L >= 2:
@@ -209,7 +211,7 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
         "max_chain_over_sqrtL": 4.0,
     }
     scalars = {
-        "max_hidden_norm_deviation": max_dev,
+        "max_hidden_norm_deviation": math.expm1(max_log_dev),
         "max_output_norm": max_out,
         "min_separation_over_delta": min_sep_ratio,
         "max_chain_norm": max_chain,
@@ -217,7 +219,7 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
         "backward_chain_ratio": backward_worst,
     }
     passed = (
-        max_dev <= epsilon
+        max_log_dev <= math.log1p(epsilon)
         and max_out <= thresholds["max_output_norm"]
         and min_sep_ratio >= thresholds["min_separation_over_delta"]
         and (L < 2 or scalars["max_chain_over_sqrtL"] <= thresholds["max_chain_over_sqrtL"])
@@ -438,12 +440,12 @@ def descent_check(trace: TrainTrace, n: int, d: int, m: int, delta: float,
 
 def trajectory_check(trace: TrainTrace, omega: float, tau: float,
                      eta: float, gamma: float) -> ProbeReport:
-    """Whether the run stayed inside its trajectory ball: max per-layer
-    spectral distance from initialization over the whole run, as a fraction
-    of the allowed radii, plus the telescoping triangle bound on total
-    Frobenius movement."""
-    max_w = max(max(r.layer_spectral_dist_w) for r in trace.records)
-    max_t = max(max(r.layer_spectral_dist_theta) for r in trace.records)
+    """Whether the run stayed inside its trajectory ball, with the bound
+    ||W_l(t) - W_l(0)||_2 <= ||W(t) - W(0)||_F: the run's max ``traj_w_fro``
+    (``traj_theta_fro``) over omega (tau) bounds every layer's spectral radius
+    ratio from above.  Plus the telescoping triangle bound on total movement."""
+    max_w = float(np.max(trace.column("traj_w_fro")))
+    max_t = float(np.max(trace.column("traj_theta_fro")))
     final = trace.records[-1]
     bound_w = eta * float(np.sum(trace.column("grad_w_fro")[:-1]))
     bound_t = gamma * float(np.sum(trace.column("grad_theta_fro")[:-1]))
@@ -452,8 +454,8 @@ def trajectory_check(trace: TrainTrace, omega: float, tau: float,
         and final.traj_theta_fro <= bound_t * (1 + 1e-12) + 1e-300
     )
     scalars = {
-        "max_w_radius_ratio": max_w / omega if omega > 0 else math.inf,
-        "max_theta_radius_ratio": max_t / tau if tau > 0 else math.inf,
+        "max_w_fro_radius_ratio": max_w / omega if omega > 0 else math.inf,
+        "max_theta_fro_radius_ratio": max_t / tau if tau > 0 else math.inf,
         "final_traj_w_fro": final.traj_w_fro,
         "triangle_bound_w": bound_w,
         "final_traj_theta_fro": final.traj_theta_fro,
@@ -463,14 +465,15 @@ def trajectory_check(trace: TrainTrace, omega: float, tau: float,
     thresholds = {"radius_ratio_max": 1.0}
     passed = (
         triangle_ok
-        and scalars["max_w_radius_ratio"] < 1.0
-        and scalars["max_theta_radius_ratio"] < 1.0
+        and scalars["max_w_fro_radius_ratio"] < 1.0
+        and scalars["max_theta_fro_radius_ratio"] < 1.0
     )
     return ProbeReport(
         name="trajectory",
         statement=(
             "every iterate stays inside a ball of spectral radius omega "
-            "(query net) / tau (key net) around initialization, and total "
+            "(query net) / tau (key net) around initialization, checked by "
+            "||W_l(t) - W_l(0)||_2 <= ||W(t) - W(0)||_F on every layer, and total "
             "movement telescopes under the step-size-weighted gradient norms"
         ),
         config={"omega": omega, "tau": tau, "eta": eta, "gamma": gamma,

@@ -1,4 +1,4 @@
-"""Simultaneous gradient descent on both encoders with full instrumentation."""
+"""Simultaneous gradient descent on both encoders, with per-step metrics."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from .contrastive import GradResult, HyperParams, grad_params
 from .data import Dataset
 from .encoder import Params, sum_of_squares
 from .errors import DivergenceError
-from .linalg import spectral_norm
 from .rng import RngState
 
 
@@ -49,8 +48,6 @@ class StepRecord:
     grad_theta_fro: float
     traj_w_fro: float
     traj_theta_fro: float
-    layer_spectral_dist_w: tuple[float, ...]
-    layer_spectral_dist_theta: tuple[float, ...]
     step_ms: float
 
 
@@ -72,16 +69,9 @@ class TrainTrace:
         return float(np.mean(norms[:-1])) if len(norms) > 1 else float(norms[0])
 
 
-def _layer_spectral_dists(p: Params, ref: Params) -> tuple[float, ...]:
-    return tuple(
-        spectral_norm(w - w0, tol=1e-3) if not np.array_equal(w, w0) else 0.0
-        for w, w0 in zip(p.weights, ref.weights)
-    )
-
-
 def _record(
     t: int, g: GradResult, qp: Params, kp: Params,
-    qp0: Params, kp0: Params, step_ms: float,
+    qp0: Params, kp0: Params, started: float,
 ) -> StepRecord:
     lv = g.loss_vectors
     return StepRecord(
@@ -94,9 +84,7 @@ def _record(
         grad_theta_fro=math.sqrt(sum_of_squares(g.grad_theta.weights)),
         traj_w_fro=qp.frobenius_distance(qp0),
         traj_theta_fro=kp.frobenius_distance(kp0),
-        layer_spectral_dist_w=_layer_spectral_dists(qp, qp0),
-        layer_spectral_dist_theta=_layer_spectral_dists(kp, kp0),
-        step_ms=step_ms,
+        step_ms=(time.perf_counter() - started) * 1000.0,  # after the fields above
     )
 
 
@@ -128,8 +116,7 @@ def gd_step(
         shape=kp.shape,
         weights=tuple(w - hp.gamma * gt for w, gt in zip(kp.weights, g.grad_theta.weights)),
     )
-    step_ms = (time.perf_counter() - started) * 1000.0
-    return new_q, new_k, _record(t, g, qp, kp, qp0, kp0, step_ms)
+    return new_q, new_k, _record(t, g, qp, kp, qp0, kp0, started)
 
 
 def train(
@@ -161,6 +148,5 @@ def train(
     final_rng = mc_rng.child("final") if mc_rng is not None else None
     g = grad_params(qp, kp, data, hp, rng=final_rng)
     _check_finite(g, len(trace), trace)
-    step_ms = (time.perf_counter() - started) * 1000.0
-    trace.records.append(_record(len(trace), g, qp, kp, qp0, kp0, step_ms))
+    trace.records.append(_record(len(trace), g, qp, kp, qp0, kp0, started))
     return trace, qp, kp

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from contrast_lab import contrastive
 from contrast_lab.contrastive import (
+    DRAW_BLOCK_SAMPLES,
     EncodedBatch,
     HyperParams,
     encode_batch,
@@ -152,6 +155,54 @@ def test_mc_loss_vectors_near_exact(gen):
     assert abs(mc_loss - exact_loss) <= z * math.sqrt(var_loss)
     assert np.all(np.abs(mc.losstilde - exact.losstilde) <= z * np.sqrt(var_tilde))
     assert np.all(np.abs(mc.losshat - exact.losshat) <= z * np.sqrt(var_hat))
+
+
+def _one_shot_draw(gen, samples, n, k):
+    return np.argpartition(gen.random((samples, n, n - 1)), k - 1, axis=2)[:, :, :k]
+
+
+@pytest.mark.parametrize("seed, n, k, samples", [
+    (0, 8, 2, 2 * DRAW_BLOCK_SAMPLES + 17),
+    (1, 10, 3, 10_000),
+    (2, 5, 4, DRAW_BLOCK_SAMPLES),
+    (3, 12, 1, 300),
+])
+def test_blocked_draw_matches_one_shot_draw(seed, n, k, samples, monkeypatch):
+    """The block-by-block draw takes the same uniforms as one draw of the
+    whole array, so both Monte-Carlo consumers stay bit-identical."""
+    blocked = contrastive._draw_subsets(np.random.default_rng(seed), samples, n, k)
+    assert np.array_equal(blocked, _one_shot_draw(np.random.default_rng(seed), samples, n, k))
+    batch = random_batch(np.random.default_rng(seed + 100), n, 4)
+
+    def both():
+        rng = RngState(seed=seed)
+        return (total_loss_mc(batch, k, rng.child("total"), samples=samples),
+                loss_and_vectors(batch, k, mode="monte-carlo", mc_samples=samples,
+                                 rng=rng.child("vectors")))
+
+    (est, stderr), (loss, lv) = both()
+    monkeypatch.setattr(contrastive, "_draw_subsets", _one_shot_draw)
+    (est1, stderr1), (loss1, lv1) = both()
+    assert (est, stderr, loss) == (est1, stderr1, loss1)
+    assert np.array_equal(lv.losstilde, lv1.losstilde)
+    assert np.array_equal(lv.losshat, lv1.losshat)
+
+
+def test_draw_keeps_only_the_index_array():
+    """At n=20, k=3 and 20,000 samples the whole-array draw kept 58 MB of
+    argpartition output alive behind a 9.6 MB k-slice; the blocked draw
+    retains the index array alone and peaks one block above it."""
+    n, k, samples = 20, 3, 20_000
+    tracemalloc.start()
+    try:
+        drawn = contrastive._draw_subsets(np.random.default_rng(5), samples, n, k)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * DRAW_BLOCK_SAMPLES * n * (n - 1)
+    assert drawn.nbytes == 8 * samples * n * k
+    assert retained <= 1.05 * drawn.nbytes
+    assert peak <= drawn.nbytes + 2.5 * block_bytes
 
 
 def test_hyperparams_validation():

@@ -119,7 +119,7 @@ def _he_variance_scaled(p: Params, factor: float) -> Params:
 @pytest.mark.parametrize("factor", [0.5, 1.25])
 def test_init_probe_rejects_mis_scaled_init(factor):
     # hidden norms scale by factor^(l/2) at depth l, so at depth 5 they sit
-    # near 0.18 (factor 1/2) or 1.75 (factor 5/4): deviations of about 0.82
+    # near 0.18 (factor 1/2) or 1.75 (factor 5/4): deviations of about 4.6
     # and 0.75, far outside the radius 0.41
     root = RngState(seed=1)
     data = generate_separated(root.child("data"), 8, 16, 0.5)
@@ -130,6 +130,32 @@ def test_init_probe_rejects_mis_scaled_init(factor):
     dev = report.scalars["max_hidden_norm_deviation"]
     assert dev > report.thresholds["max_hidden_norm_deviation"]
     assert dev >= 0.9 * abs(factor ** (shape.L / 2) - 1)
+    assert report.passed is False
+
+
+def test_init_probe_band_is_symmetric_in_log_norm():
+    """Hidden norms shrunk into the gap between the two lower edges, 1 - eps
+    (0.593 at m=1024, L=5, n=8) and 1/(1 + eps) (0.711), fail: the band is
+    |log ||h||| <= log(1 + eps), symmetric like the law behind eps.  The
+    first layer is scaled, so every hidden norm scales with it and the
+    masked chains do not change."""
+    root = RngState(seed=1)
+    data = generate_separated(root.child("data"), 8, 16, 0.5)
+    shape = Shape(L=5, m=1024, d=64, b=16)
+    nets = [init_params(root.child(name), shape) for name in ("q", "k")]
+    eps = hidden_norm_radius(shape, 8)
+    norms = [np.linalg.norm(h, axis=0) for p in nets for h in forward_batch(p, data.points).hidden]
+    target = 0.5 * ((1 - eps) + 1 / (1 + eps))
+    c = target / min(float(v.min()) for v in norms)
+    assert c * max(float(v.max()) for v in norms) <= 1 + eps
+    qp, kp = (Params(shape=shape, weights=(c * p.weights[0],) + p.weights[1:]) for p in nets)
+    report = init_probe(qp, kp, data)
+    s = report.scalars
+    assert s["max_hidden_norm_deviation"] == pytest.approx(1 / target - 1, rel=1e-9)
+    assert s["max_hidden_norm_deviation"] > report.thresholds["max_hidden_norm_deviation"]
+    assert s["max_output_norm"] <= report.thresholds["max_output_norm"]
+    assert s["min_separation_over_delta"] >= report.thresholds["min_separation_over_delta"]
+    assert s["max_chain_over_sqrtL"] <= report.thresholds["max_chain_over_sqrtL"]
     assert report.passed is False
 
 
@@ -185,10 +211,25 @@ def test_trajectory_check_bounds_movement(setup):
     report = trajectory_check(trace, omega=100.0, tau=100.0,
                               eta=hp.eta, gamma=hp.gamma)
     assert report.passed
-    assert report.scalars["max_w_radius_ratio"] < 1.0
+    assert report.scalars["max_w_fro_radius_ratio"] < 1.0
+    assert report.scalars["max_theta_fro_radius_ratio"] < 1.0
     tight = trajectory_check(trace, omega=1e-12, tau=1e-12,
                              eta=hp.eta, gamma=hp.gamma)
     assert not tight.passed
+
+
+def test_trajectory_check_fails_below_the_true_spectral_distance(setup):
+    """The Frobenius radius ratio bounds every layer's spectral distance, so
+    a radius just below the largest one measured by a dense SVD fails."""
+    root, data, qp, kp, hp = setup
+    hp = HyperParams(k=2, eta=0.05, gamma=0.05, T=5)
+    trace, qf, kf = train(qp, kp, data, hp)
+    largest_w = max(np.linalg.norm(w - w0, 2) for w, w0 in zip(qf.weights, qp.weights))
+    largest_t = max(np.linalg.norm(w - w0, 2) for w, w0 in zip(kf.weights, kp.weights))
+    for omega, tau in ((largest_w * (1 - 1e-9), 1e3), (1e3, largest_t * (1 - 1e-9))):
+        below = trajectory_check(trace, omega=omega, tau=tau, eta=hp.eta, gamma=hp.gamma)
+        assert below.scalars["triangle_ok"] == 1.0
+        assert not below.passed
 
 
 class TestPerturbationProbe:

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from contrast_lab.contrastive import HyperParams, grad_params
 from contrast_lab.encoder import Params
+from contrast_lab import trainer
 from contrast_lab.errors import DivergenceError
 from contrast_lab.trainer import gd_step, theoretical_hyperparams, train
 
@@ -106,3 +108,20 @@ def test_early_stop_halts_when_loss_vectors_shrink(small_nets_module):
     hp = HyperParams(k=2, eta=0.05, gamma=0.05, T=500, epsilon=0.5)
     trace, _, _ = train(qp, kp, data, hp, early_stop=True)
     assert len(trace) < 501
+
+
+def test_step_ms_covers_the_record_stage(small_nets_module, monkeypatch):
+    """step_ms runs to the end of the record, in every step and in the
+    closing record: with the record's gradient norms slowed by 25 ms each,
+    every record reports at least 50 ms."""
+    qp, kp, data = small_nets_module
+    original = trainer.sum_of_squares
+
+    def slow_sum_of_squares(arrays):
+        time.sleep(0.025)
+        return original(arrays)
+
+    monkeypatch.setattr(trainer, "sum_of_squares", slow_sum_of_squares)
+    trace, _, _ = train(qp, kp, data, HyperParams(k=2, eta=0.05, gamma=0.05, T=2))
+    assert len(trace) == 3
+    assert all(r.step_ms >= 50.0 for r in trace.records)
