@@ -51,10 +51,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 3
 
-TRACE_HEADER = (
-    "t,loss,losstilde_norm,losshat_norm,loss_vec_norm,"
-    "grad_w_fro,grad_theta_fro,traj_w_fro,traj_theta_fro"
-)
+# Per-step trace columns after ``t``, in the order both CSV writers use.
+TRACE_COLUMNS = ("loss", "losstilde_norm", "losshat_norm", "loss_vec_norm",
+                 "grad_w_fro", "grad_theta_fro", "traj_w_fro", "traj_theta_fro")
+TRACE_HEADER = ",".join(("t",) + TRACE_COLUMNS)
 
 
 def _fmt(x: float) -> str:
@@ -66,21 +66,15 @@ def emit_trace(trace: TrainTrace, path: str | Path) -> None:
     so that re-runs are byte-identical."""
     lines = [TRACE_HEADER]
     for r in trace.records:
-        lines.append(",".join([
-            str(r.t), _fmt(r.loss), _fmt(r.losstilde_norm), _fmt(r.losshat_norm),
-            _fmt(r.loss_vec_norm), _fmt(r.grad_w_fro), _fmt(r.grad_theta_fro),
-            _fmt(r.traj_w_fro), _fmt(r.traj_theta_fro),
-        ]))
+        lines.append(",".join([str(r.t)] + [_fmt(getattr(r, c)) for c in TRACE_COLUMNS]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def export_long_format(trace: TrainTrace, path: str | Path) -> None:
     """Long-format (t, metric, value) CSV for external plotting tools."""
-    metrics = ("loss", "losstilde_norm", "losshat_norm", "loss_vec_norm",
-               "grad_w_fro", "grad_theta_fro", "traj_w_fro", "traj_theta_fro")
     lines = ["t,metric,value"]
     for r in trace.records:
-        for name in metrics:
+        for name in TRACE_COLUMNS:
             lines.append(f"{r.t},{name},{_fmt(getattr(r, name))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -332,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "probes", None):
             cfg.probes = tuple(args.probes.split(","))
         cfg.validate()
+        if args.out is not None and "\0" in args.out:  # validate checks out_dir
+            raise ConfigError(f"--out contains a NUL byte: {args.out!r}")
         out = Path(args.out if args.out is not None else cfg.out_dir)
         if args.command == "train":
             return cmd_train(cfg, out)
@@ -340,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "probe":
             return cmd_probe(cfg, out)
         return cmd_sweep(cfg, out, _parse_m_grid(args.m_grid))
-    except ContrastLabError as err:
+    except (ContrastLabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -48,10 +49,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         for name in ("delta_min", "epsilon", "eta", "gamma"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a path string, got {self.out_dir!r}")
+            # JSON admits NaN and Infinity; an int beyond the float range overflows
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.out_dir, str) or "\0" in self.out_dir:
+            raise ConfigError(f"out_dir must be a path string without NUL, got {self.out_dir!r}")
         if self.b < 2:
             raise ConfigError(f"b must be at least 2, got {self.b}")
         if self.k > self.n - 1:
@@ -84,7 +87,7 @@ def parse_config(text: str) -> ExperimentConfig:
     documented defaults; unknown keys are rejected by name."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an int past the digit limit
         raise ConfigError(f"malformed config document: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
@@ -103,4 +106,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config document is not UTF-8: {err}") from err
+    return parse_config(text)

@@ -180,18 +180,10 @@ def total_loss_mc(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     n = batch.n
-    # logits[i, j] = q_i . (k_j - k_i)
-    cross = batch.queries @ batch.keys.T
-    logits = cross - np.diag(cross)[:, None]
     rel = _draw_subsets(rng.generator(), samples, n, k)
-    absolute = rel + (rel >= np.arange(n)[None, :, None])
-    g = np.take_along_axis(
-        np.broadcast_to(logits, (samples, n, n)), absolute, axis=2
-    )
-    hi = np.maximum(g.max(axis=2), 0.0)
-    per_anchor = hi + np.log(
-        np.exp(-hi) + np.sum(np.exp(g - hi[:, :, None]), axis=2)
-    )
+    per_anchor = np.empty((samples, n))
+    for i in range(n):
+        per_anchor[:, i] = _per_sample_stats(batch, i, rel[:, i])[0]
     draws = per_anchor.mean(axis=1)
     est = float(np.mean(draws))
     stderr = float(np.std(draws, ddof=1) / math.sqrt(samples))

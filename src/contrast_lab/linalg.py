@@ -37,55 +37,50 @@ def gaussian_matrix(rng: RngState, rows: int, cols: int, variance: float) -> np.
     return (math.sqrt(variance) * ndtri(u)).reshape(rows, cols)
 
 
-def _power_start(n: int) -> np.ndarray:
-    # Fixed pseudorandom start so the iteration is deterministic and almost
-    # surely not orthogonal to the top singular subspace.
-    gen = RngState(seed=0x5EED, stream=n).generator()
-    v = gen.standard_normal(n)
-    return v / np.linalg.norm(v)
+# Step cap of every power iteration; reaching it raises ConvergenceError.
+POWER_MAX_STEPS = 10_000
 
 
-def spectral_norm(a: np.ndarray, tol: float = 1e-8, max_steps: int = 10000) -> float:
+def spectral_norm(a: np.ndarray, tol: float = 1e-8) -> float:
     """Largest singular value of ``a`` via power iteration on A^T A."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ShapeError(f"expected a nonempty 2-d array, got shape {a.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return operator_norm(
-        lambda x: a @ x, lambda y: a.T @ y, a.shape[1], tol=tol, max_steps=max_steps
-    )
+    # Fixed pseudorandom start so the iteration is deterministic and almost
+    # surely not orthogonal to the top singular subspace.
+    start = RngState(seed=0x5EED, stream=a.shape[1]).generator().standard_normal((a.shape[1], 1))
+    return float(power_iteration(lambda v: a @ v, lambda w: a.T @ w, start, tol)[0])
 
 
-def operator_norm(
+def power_iteration(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    tol: float = 1e-8,
-    max_steps: int = 10000,
-) -> float:
-    """Spectral norm of a linear operator given only matvec / adjoint matvec.
+    start: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """Spectral norm of one operator per column of ``start``.
 
-    Used where forming the operator densely would be wasteful (products of
-    masked weight matrices at large width).
+    ``matvec`` and ``rmatvec`` apply an operator A and its adjoint to a block
+    of vectors column by column, so each column may see its own operator
+    (a per-sample masked weight chain).  Each column v starts normalised and
+    steps to A^T A v / ||A^T A v||; its estimate sqrt(||A^T A v||) is never
+    below ||A v||.  Stops once every column has |s_t - s_{t-1}| <= tol s_t,
+    and raises ConvergenceError if that takes over ``POWER_MAX_STEPS`` steps.
     """
-    v = _power_start(dim)
-    sigma = 0.0
-    for _ in range(max_steps):
-        w = matvec(v)
-        sigma_new = float(np.linalg.norm(w))
-        if sigma_new == 0.0:
-            return 0.0
-        v = rmatvec(w)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return sigma_new
-        v = v / nv
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    v = start / np.linalg.norm(start, axis=0, keepdims=True)
+    sigma = np.zeros(v.shape[1])
+    for _ in range(POWER_MAX_STEPS):
+        u = rmatvec(matvec(v))
+        norms = np.linalg.norm(u, axis=0)
+        new_sigma = np.sqrt(norms)
+        if np.all(np.abs(new_sigma - sigma) <= tol * np.maximum(new_sigma, 1e-300)):
+            return new_sigma
+        sigma = new_sigma
+        v = u / np.where(norms > 0, norms, 1.0)
     raise ConvergenceError(
-        f"power iteration did not converge in {max_steps} steps (last={sigma})",
+        f"power iteration did not converge in {POWER_MAX_STEPS} steps (last={sigma})",
         last_iterate=v,
     )
 

@@ -20,7 +20,7 @@ from .contrastive import HyperParams, encode_batch, grad_params, total_loss_exac
 from .data import Dataset, min_pairwise_distance
 from .encoder import BatchTrace, Params, Shape, forward_batch, init_params, sum_of_squares
 from .errors import EvaluationError
-from .linalg import logsumexp, spectral_norm
+from .linalg import logsumexp, power_iteration, spectral_norm
 from .rng import RngState
 from .trainer import TrainTrace
 
@@ -87,7 +87,7 @@ class ProbeReport:
 
 
 def masked_chain_norms(p: Params, trace: BatchTrace, a: int, b: int,
-                       tol: float = 1e-3, max_steps: int = 500) -> np.ndarray:
+                       tol: float = 1e-3) -> np.ndarray:
     """Per-sample spectral norms of W_b D_{b-1} ... D_a W_a, where D_l is the
     sample's active-unit mask after hidden layer l.  Runs one power iteration
     per sample, batched so every chain application is a single matrix product.
@@ -113,20 +113,7 @@ def masked_chain_norms(p: Params, trace: BatchTrace, a: int, b: int,
         return x
 
     start = RngState(seed=0xC4A1, stream=a * 64 + b).generator()
-    v = start.standard_normal((p.shape.m, n))
-    v /= np.linalg.norm(v, axis=0, keepdims=True)
-    sigma = np.zeros(n)
-    for _ in range(max_steps):
-        u = chain_t(chain(v))
-        norms = np.linalg.norm(u, axis=0)
-        new_sigma = np.sqrt(norms)
-        if np.all(np.abs(new_sigma - sigma) <= tol * np.maximum(new_sigma, 1e-300)):
-            sigma = new_sigma
-            break
-        sigma = new_sigma
-        safe = np.where(norms > 0, norms, 1.0)
-        v = u / safe
-    return sigma
+    return power_iteration(chain, chain_t, start.standard_normal((p.shape.m, n)), tol)
 
 
 def _backward_chain_ratios(p: Params, trace: BatchTrace, n_probes: int = 8) -> float:
@@ -523,11 +510,7 @@ def perturbation_probe(
         gen = rng.child(f"dir-{di}").generator()
         dirs = [_unit_spectral_direction(gen, w.shape) for w in qp.weights]
         for oi, omega in enumerate(omegas):
-            shifted = Params(
-                shape=qp.shape,
-                weights=tuple(w + omega * g for w, g in zip(qp.weights, dirs)),
-            )
-            t = forward_batch(shifted, xs)
+            t = forward_batch(_shifted(qp, dirs, omega), xs)
             moved = np.concatenate([m.ravel() for m in t.masks])
             flips[di, oi] = float(np.mean(moved ^ base_masks))
             out_drift[di, oi] = float(

@@ -1,9 +1,15 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contrast_lab.cli import (
     EXIT_FAIL,
@@ -165,14 +171,30 @@ class TestCommands:
         ({}, ["sweep", "--m-grid", "32,x"]),
         ({}, ["sweep", "--m-grid", "32"]),
         ({"probes": []}, ["probe"]),
+        ({}, ["train", "--config", "{tmp}/missing.json"]),
+        ({}, ["train", "--out", "{tmp}/config.json"]),
+        ({"out_dir": "a\0b"}, ["train"]),
+        ({}, ["train", "--out", "a\0b"]),
+        ({"eta": math.nan}, ["train"]),
+        ({"eta": math.nan}, ["sweep", "--m-grid", "16,32"]),
+        ({"gamma": math.inf}, ["probe", "--probes", "ce"]),
+        ({"gamma": 10**400}, ["train"]),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, overrides, argv):
         cfg = _write_config(tmp_path, **overrides)
         out = tmp_path / "bad"
-        assert main(argv + ["--config", cfg, "--out", str(out)]) == EXIT_FAIL
+        tail = [a.format(tmp=tmp_path) for a in argv[1:]]  # later flags win
+        assert main(argv[:1] + ["--config", cfg, "--out", str(out)] + tail) == EXIT_FAIL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
+
+    def test_config_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"n": 5, "out_dir": "\xff"}')
+        assert main(["train", "--config", str(path)]) == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_monte_carlo_mode(self, tmp_path):
         cfg = _write_config(tmp_path, T=3, mode="monte-carlo", mc_samples=200)
@@ -193,3 +215,59 @@ class TestCommands:
         cfg = _write_config(tmp_path, n=8, k=2, L=3, m=512, d=32, b=16, T=200,
                             eta=0.0625, gamma=0.0625, seed=2017931360)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_PASS
+
+
+_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+_INT_FIELDS = ("n", "k", "L", "m", "d", "b", "T", "mc_samples", "enumeration_cap")
+_EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**64,
+                                1e308, 0, -1, "", "a\0b"])
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                 | _EDGE_VALUES)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=5)
+# values near the valid ranges, so that some documents pass validation
+_PLAUSIBLE = (st.integers(-2, 40) | st.floats(-0.5, 2.0)
+              | st.sampled_from(["exact", "monte-carlo", "practical", "theoretical", "out",
+                                 ["init"], ["ce", "gradient"]]))
+_KEYS = st.sampled_from(_FIELDS) | st.text(max_size=8)
+# whole documents, and the valid TINY with one key set to an arbitrary value
+_DOCUMENTS = (st.dictionaries(_KEYS, _JSON_VALUES | _PLAUSIBLE, max_size=8)
+              | st.builds(lambda key, value: {**TINY, key: value}, _KEYS,
+                          _JSON_VALUES | _PLAUSIBLE))
+
+
+@given(doc=_DOCUMENTS)
+@example(doc={**TINY, "eta": math.nan})
+@example(doc={**TINY, "gamma": -math.inf})
+@example(doc={**TINY, "epsilon": 10**400})
+@example(doc={**TINY, "out_dir": "a\0b"})
+@settings(max_examples=200, deadline=None)
+def test_config_document_is_in_range_or_one_error_line(doc):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    text = json.dumps(doc)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["train", "--config", str(path), "--out", str(Path(tmp) / "out")])
+            assert not (Path(tmp) / "out").exists()
+        lines = err.getvalue().splitlines()
+        assert code == EXIT_FAIL
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return
+    for name in _INT_FIELDS + ("seed",):
+        value = getattr(cfg, name)
+        assert isinstance(value, int) and not isinstance(value, bool)
+        assert name == "seed" or value >= 1
+    for name in ("delta_min", "epsilon", "eta", "gamma"):
+        assert math.isfinite(getattr(cfg, name))
+    assert 0 < cfg.epsilon < 1 and 0 < cfg.delta_min < math.sqrt(2)
+    assert cfg.eta > 0 and cfg.gamma > 0
+    assert cfg.b >= 2 and 1 <= cfg.k <= cfg.n - 1

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from contrast_lab.errors import ShapeError
+from contrast_lab.errors import ConvergenceError, ShapeError
 from contrast_lab.linalg import (
     gaussian_matrix,
     logsumexp,
-    operator_norm,
+    power_iteration,
     spectral_norm,
 )
 from contrast_lab.rng import RngState
@@ -51,9 +51,25 @@ class TestSpectralNorm:
 
     def test_matrix_free_matches_dense(self, gen):
         a = gen.standard_normal((40, 25))
-        got = operator_norm(
-            matvec=lambda v: a @ v, rmatvec=lambda v: a.T @ v, dim=25)
-        assert got == pytest.approx(spectral_norm(a), rel=1e-6)
+        got = power_iteration(
+            lambda v: a @ v, lambda w: a.T @ w, gen.standard_normal((25, 1)), tol=1e-8)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(spectral_norm(a), rel=1e-6)
+
+    def test_batch_matches_svd_column_by_column(self, gen):
+        # each column sees its own operator, as a per-sample masked chain does
+        ops = gen.standard_normal((6, 30, 20)) * gen.uniform(0.1, 10.0, size=(6, 1, 1))
+        got = power_iteration(
+            lambda v: np.einsum("jrc,cj->rj", ops, v),
+            lambda w: np.einsum("jrc,rj->cj", ops, w),
+            gen.standard_normal((20, 6)), tol=1e-10)
+        want = [np.linalg.svd(op, compute_uv=False)[0] for op in ops]
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    def test_step_cap_raises(self, gen, monkeypatch):
+        monkeypatch.setattr("contrast_lab.linalg.POWER_MAX_STEPS", 2)
+        with pytest.raises(ConvergenceError):
+            spectral_norm(gen.standard_normal((50, 50)))
 
 
 class TestLogsumexp:

@@ -8,6 +8,7 @@ import pytest
 from contrast_lab import Shape, generate_separated, init_params
 from contrast_lab.contrastive import HyperParams
 from contrast_lab.encoder import Params, forward_batch
+from contrast_lab.errors import ConvergenceError
 from contrast_lab.monitors import (
     ce_smoothness_check,
     descent_check,
@@ -69,6 +70,14 @@ def test_masked_chain_norms_match_dense_oracle(setup):
                 dense = qp.weights[l + 1] @ (trace.masks[l][:, i : i + 1] * dense)
             want = np.linalg.svd(dense, compute_uv=False)[0]
             assert got[i] == pytest.approx(want, rel=1e-5)
+
+
+def test_masked_chain_norms_raise_at_step_cap(setup, monkeypatch):
+    _, data, qp, _, _ = setup
+    trace = forward_batch(qp, data.points)
+    monkeypatch.setattr("contrast_lab.linalg.POWER_MAX_STEPS", 2)
+    with pytest.raises(ConvergenceError):
+        masked_chain_norms(qp, trace, 1, 2, tol=1e-9)
 
 
 def test_init_probe_tightens_with_width():
