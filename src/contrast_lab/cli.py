@@ -22,9 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +31,20 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .contrastive import HyperParams, grad_params, loss_and_vectors, encode_batch, total_loss_exact, total_loss_mc
 from .data import Dataset, generate_separated
-from .encoder import Params, Shape, init_params, sum_of_squares
+from .encoder import Params, Shape, init_params
 from .errors import ConfigError, ContrastLabError
 from .monitors import (
     ce_smoothness_check,
     fit_loglog,
     gradient_bound_probe,
+    gradient_rows,
     init_probe,
     perturbation_probe,
     smoothness_probe,
 )
 from .oracle import DEFAULT_FD_STEP, fd_gradient, kink_mask
 from .rng import RngState
-from .trainer import TrainTrace, theoretical_hyperparams, train
+from .trainer import TrainTrace, theoretical_step_size, train
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -87,21 +86,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n", encoding="utf-8")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CONTRAST_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-
-
 def _hyperparams(cfg: ExperimentConfig, delta: float) -> HyperParams:
     """The config's hyperparameters with the exact loss; only ``train``
     switches to the config's ``mode``."""
     if cfg.step_mode == "theoretical":
-        theory, _, _ = theoretical_hyperparams(
-            cfg.n, cfg.k, cfg.L, cfg.m, cfg.d, delta, cfg.epsilon)
-        eta, gamma = theory.eta, theory.gamma
+        eta = gamma = theoretical_step_size(cfg.n, cfg.k, cfg.L, cfg.m, cfg.d, delta, cfg.epsilon)
     else:
         eta, gamma = cfg.eta, cfg.gamma
     return HyperParams(k=cfg.k, eta=eta, gamma=gamma, T=cfg.T, epsilon=cfg.epsilon,
@@ -246,23 +235,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, m_grid: tuple[int, ...]) -> int:
     root = RngState(seed=cfg.seed)
     data = generate_separated(root.child("data"), cfg.n, cfg.b, cfg.delta_min)
     hp = _hyperparams(cfg, data.delta)
-
-    def one(m: int) -> dict:
-        shape = Shape(L=cfg.L, m=m, d=cfg.d, b=cfg.b)
-        qp = init_params(root.child(f"w-{m}"), shape)
-        kp = init_params(root.child(f"theta-{m}"), shape)
-        g = grad_params(qp, kp, data, hp)
-        return {
-            "m": m,
-            "loss": g.loss,
-            "grad_w_sq": sum_of_squares(g.grad_w.weights),
-            "grad_theta_sq": sum_of_squares(g.grad_theta.weights),
-            "losstilde_norm": g.loss_vectors.tilde_norm,
-            "losshat_norm": g.loss_vectors.hat_norm,
-        }
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(one, m_grid))
+    rows = gradient_rows(data, hp, m_grid, cfg.L, cfg.d, root)
     ms = np.asarray([r["m"] for r in rows], dtype=np.float64)
     fit_w = fit_loglog(ms, np.asarray([r["grad_w_sq"] for r in rows]))
     fit_t = fit_loglog(ms, np.asarray([r["grad_theta_sq"] for r in rows]))

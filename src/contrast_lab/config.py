@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -55,6 +56,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.out_dir, str) or "\0" in self.out_dir:
             raise ConfigError(f"out_dir must be a path string without NUL, got {self.out_dir!r}")
+        # the two float64 weight stacks alone; beyond physical memory, init fails
+        weight_bytes = 2 * 8 * (self.m * self.b + (self.L - 1) * self.m**2 + self.d * self.m)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if weight_bytes > memory:
+            raise ConfigError(f"the two weight stacks need {weight_bytes} bytes, "
+                              f"more than the {memory} bytes of physical memory")
         if self.b < 2:
             raise ConfigError(f"b must be at least 2, got {self.b}")
         if self.k > self.n - 1:
@@ -77,9 +84,6 @@ class ExperimentConfig:
         out = dataclasses.asdict(self)
         out["probes"] = list(self.probes)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
 def parse_config(text: str) -> ExperimentConfig:

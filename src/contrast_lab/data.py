@@ -56,9 +56,7 @@ def generate_separated(
     if n < 2 or b < 2:
         raise ValueError(f"need n >= 2 and b >= 2, got n={n}, b={b}")
     if not 0.0 < delta_min < SQRT2:
-        raise GenerationError(
-            f"delta_min must lie in (0, sqrt(2)), got {delta_min}", attempts=0
-        )
+        raise GenerationError(f"delta_min must lie in (0, sqrt(2)), got {delta_min}")
     if max_attempts is None:
         max_attempts = 10 * n * n
     gen = rng.generator()
@@ -70,6 +68,5 @@ def generate_separated(
             return Dataset(points=pts, delta=realized)
     raise GenerationError(
         f"no {delta_min}-separated set of {n} points in R^{b} "
-        f"after {max_attempts} attempts",
-        attempts=max_attempts,
+        f"after {max_attempts} attempts"
     )

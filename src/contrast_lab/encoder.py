@@ -112,12 +112,6 @@ def init_params(rng: RngState, shape: Shape) -> Params:
     return Params(shape=shape, weights=tuple(weights))
 
 
-def zeros_like_params(shape: Shape) -> Params:
-    return Params(
-        shape=shape, weights=tuple(np.zeros(dim) for dim in shape.layer_dims())
-    )
-
-
 @dataclass(frozen=True)
 class ForwardTrace:
     """Hidden states and ReLU masks of one forward pass.

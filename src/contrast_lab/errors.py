@@ -12,17 +12,9 @@ class ShapeError(ContrastLabError):
 class ConvergenceError(ContrastLabError):
     """Iterative routine failed to converge within its step cap."""
 
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
 
 class GenerationError(ContrastLabError):
     """Dataset rejection sampling exhausted its attempt budget."""
-
-    def __init__(self, message, attempts=None):
-        super().__init__(message)
-        self.attempts = attempts
 
 
 class EnumerationError(ContrastLabError):
@@ -31,10 +23,6 @@ class EnumerationError(ContrastLabError):
 
 class DivergenceError(ContrastLabError):
     """Training produced a non-finite loss or gradient."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class EvaluationError(ContrastLabError):

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: seeded Gaussian sampling, spectral norms, logsumexp.
+"""Dense matrix primitives: seeded Gaussian sampling and spectral norms.
 
 Matrices are plain float64 numpy arrays, row-major.  All sampling routines
 are deterministic functions of an explicit :class:`~contrast_lab.rng.RngState`.
@@ -7,7 +7,7 @@ are deterministic functions of an explicit :class:`~contrast_lab.rng.RngState`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -80,17 +80,4 @@ def power_iteration(
         sigma = new_sigma
         v = u / np.where(norms > 0, norms, 1.0)
     raise ConvergenceError(
-        f"power iteration did not converge in {POWER_MAX_STEPS} steps (last={sigma})",
-        last_iterate=v,
-    )
-
-
-def logsumexp(values: Sequence[float]) -> float:
-    """log(sum(exp(values))), max-shifted so inputs up to ~700 never overflow."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ShapeError("logsumexp of an empty sequence")
-    hi = float(np.max(v))
-    if not np.isfinite(hi):
-        return hi
-    return hi + math.log(float(np.sum(np.exp(v - hi))))
+        f"power iteration did not converge in {POWER_MAX_STEPS} steps (last={sigma})")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ from .contrastive import HyperParams, encode_batch, grad_params, total_loss_exac
 from .data import Dataset, min_pairwise_distance
 from .encoder import BatchTrace, Params, Shape, forward_batch, init_params, sum_of_squares
 from .errors import EvaluationError
-from .linalg import logsumexp, power_iteration, spectral_norm
+from .linalg import power_iteration, spectral_norm
 from .rng import RngState
 from .trainer import TrainTrace
 
@@ -232,6 +234,43 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
 # gradient norm scaling
 
 
+def _max_workers() -> int:
+    raw = os.environ.get("CONTRAST_LAB_THREADS", "")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return max(1, os.cpu_count() or 1)
+
+
+def gradient_rows(
+    data: Dataset, hp: HyperParams, ms: tuple[int, ...],
+    L: int, d: int, rng: RngState,
+) -> list[dict]:
+    """One row per width m: the loss, the squared gradient Frobenius norms of
+    both encoders and the loss-vector norms, at a fresh pair of nets drawn
+    from ``rng``'s ``w-{m}`` and ``theta-{m}`` streams.  Widths run in
+    parallel on up to ``CONTRAST_LAB_THREADS`` threads (default: all cores).
+    """
+    b = data.points.shape[1]
+
+    def one(m: int) -> dict:
+        shape = Shape(L=L, m=m, d=d, b=b)
+        qp = init_params(rng.child(f"w-{m}"), shape)
+        kp = init_params(rng.child(f"theta-{m}"), shape)
+        g = grad_params(qp, kp, data, hp)
+        return {
+            "m": m,
+            "loss": g.loss,
+            "grad_w_sq": sum_of_squares(g.grad_w.weights),
+            "grad_theta_sq": sum_of_squares(g.grad_theta.weights),
+            "losstilde_norm": g.loss_vectors.tilde_norm,
+            "losshat_norm": g.loss_vectors.hat_norm,
+        }
+
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+        return list(pool.map(one, ms))
+
+
 def gradient_bound_probe(
     data: Dataset, hp: HyperParams, ms: tuple[int, ...],
     L: int, d: int, rng: RngState,
@@ -242,17 +281,11 @@ def gradient_bound_probe(
     log-log slope in m should be 1; the normalized ratio
     r = ||grad||^2 n d / (m * sum ||loss vec||^2) should sit in a stable band.
     """
-    n, b = data.points.shape
+    n = data.points.shape[0]
     gw2, gt2, rw, rt = [], [], [], []
-    for m in ms:
-        shape = Shape(L=L, m=m, d=d, b=b)
-        qp = init_params(rng.child(f"w-{m}"), shape)
-        kp = init_params(rng.child(f"theta-{m}"), shape)
-        g = grad_params(qp, kp, data, hp)
-        w2 = sum_of_squares(g.grad_w.weights)
-        t2 = sum_of_squares(g.grad_theta.weights)
-        lt2 = g.loss_vectors.tilde_norm**2
-        lh2 = g.loss_vectors.hat_norm**2
+    for row in gradient_rows(data, hp, ms, L, d, rng):
+        m, w2, t2 = row["m"], row["grad_w_sq"], row["grad_theta_sq"]
+        lt2, lh2 = row["losstilde_norm"]**2, row["losshat_norm"]**2
         gw2.append(w2)
         gt2.append(t2)
         rw.append(w2 * n * d / (m * lt2) if lt2 > 0 else math.nan)
@@ -425,52 +458,6 @@ def descent_check(trace: TrainTrace, n: int, d: int, m: int, delta: float,
     )
 
 
-def trajectory_check(trace: TrainTrace, omega: float, tau: float,
-                     eta: float, gamma: float) -> ProbeReport:
-    """Whether the run stayed inside its trajectory ball, with the bound
-    ||W_l(t) - W_l(0)||_2 <= ||W(t) - W(0)||_F: the run's max ``traj_w_fro``
-    (``traj_theta_fro``) over omega (tau) bounds every layer's spectral radius
-    ratio from above.  Plus the telescoping triangle bound on total movement."""
-    max_w = float(np.max(trace.column("traj_w_fro")))
-    max_t = float(np.max(trace.column("traj_theta_fro")))
-    final = trace.records[-1]
-    bound_w = eta * float(np.sum(trace.column("grad_w_fro")[:-1]))
-    bound_t = gamma * float(np.sum(trace.column("grad_theta_fro")[:-1]))
-    triangle_ok = (
-        final.traj_w_fro <= bound_w * (1 + 1e-12) + 1e-300
-        and final.traj_theta_fro <= bound_t * (1 + 1e-12) + 1e-300
-    )
-    scalars = {
-        "max_w_fro_radius_ratio": max_w / omega if omega > 0 else math.inf,
-        "max_theta_fro_radius_ratio": max_t / tau if tau > 0 else math.inf,
-        "final_traj_w_fro": final.traj_w_fro,
-        "triangle_bound_w": bound_w,
-        "final_traj_theta_fro": final.traj_theta_fro,
-        "triangle_bound_theta": bound_t,
-        "triangle_ok": float(triangle_ok),
-    }
-    thresholds = {"radius_ratio_max": 1.0}
-    passed = (
-        triangle_ok
-        and scalars["max_w_fro_radius_ratio"] < 1.0
-        and scalars["max_theta_fro_radius_ratio"] < 1.0
-    )
-    return ProbeReport(
-        name="trajectory",
-        statement=(
-            "every iterate stays inside a ball of spectral radius omega "
-            "(query net) / tau (key net) around initialization, checked by "
-            "||W_l(t) - W_l(0)||_2 <= ||W(t) - W(0)||_F on every layer, and total "
-            "movement telescopes under the step-size-weighted gradient norms"
-        ),
-        config={"omega": omega, "tau": tau, "eta": eta, "gamma": gamma,
-                "steps": len(trace) - 1},
-        scalars=scalars,
-        thresholds=thresholds,
-        passed=passed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # perturbation response
 
@@ -587,53 +574,40 @@ def perturbation_probe(
 # cross-entropy smoothness
 
 
-def softmax_log_partition(y: np.ndarray) -> float:
-    """g(y) = log(1 + sum_i exp(y_i))."""
-    return logsumexp(np.concatenate(([0.0], np.asarray(y, dtype=np.float64))))
+def _log_partition(ys: np.ndarray) -> np.ndarray:
+    """g(y) = log(1 + sum_i exp(y_i)) of each row."""
+    return np.logaddexp.reduce(np.concatenate([np.zeros((len(ys), 1)), ys], axis=1), axis=1)
 
 
-def _softmax_grad(y: np.ndarray) -> np.ndarray:
-    shifted = np.exp(y - softmax_log_partition(y))
-    return shifted
+def _quadratic_bound_excess(ys: np.ndarray, yps: np.ndarray) -> np.ndarray:
+    """g(y + y') - g(y) - grad g(y) . y' - ||y'||^2 / 2 of each row."""
+    g0 = _log_partition(ys)
+    grad = np.exp(ys - g0[:, None])
+    return _log_partition(ys + yps) - g0 - np.sum(grad * yps, axis=1) - 0.5 * np.sum(yps**2, axis=1)
 
 
 def ce_smoothness_check(rng: RngState, trials: int, max_k: int = 16,
                         scale: float = 10.0, tol: float = 1e-12) -> ProbeReport:
     """Second-order upper bound on the softmax log-partition:
     g(y + y') <= g(y) + grad g(y) . y' + ||y'||^2 / 2, checked on random
-    pairs plus one steepest-ascent direction per batch."""
+    pairs plus one step along the gradient itself."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     gen = rng.generator()
-    violations = 0
-    worst = -math.inf
+    excesses = []
     done = 0
     while done < trials:
         k = int(gen.integers(1, max_k + 1))
         batch = min(trials - done, 4096)
         ys = gen.uniform(-scale, scale, size=(batch, k))
-        yps = gen.uniform(-scale, scale, size=(batch, k))
-        # stable row-wise g and gradient
-        aug = np.concatenate([np.zeros((batch, 1)), ys], axis=1)
-        g0 = np.logaddexp.reduce(aug, axis=1)
-        grad = np.exp(ys - g0[:, None])
-        aug2 = np.concatenate([np.zeros((batch, 1)), ys + yps], axis=1)
-        g1 = np.logaddexp.reduce(aug2, axis=1)
-        excess = g1 - g0 - np.sum(grad * yps, axis=1) - 0.5 * np.sum(yps**2, axis=1)
-        worst = max(worst, float(excess.max()))
-        violations += int(np.sum(excess > tol))
+        excesses.append(_quadratic_bound_excess(ys, gen.uniform(-scale, scale, size=(batch, k))))
         done += batch
     # adversarial spot check: step along the gradient itself
-    y = gen.uniform(-scale, scale, size=8)
-    yp = _softmax_grad(y)
-    spot = (
-        softmax_log_partition(y + yp)
-        - softmax_log_partition(y)
-        - float(yp @ _softmax_grad(y))
-        - 0.5 * float(yp @ yp)
-    )
-    worst = max(worst, spot)
-    violations += int(spot > tol)
+    y = gen.uniform(-scale, scale, size=(1, 8))
+    excesses.append(_quadratic_bound_excess(y, np.exp(y - _log_partition(y)[:, None])))
+    excess = np.concatenate(excesses)
+    violations = int(np.sum(excess > tol))
+    worst = float(excess.max())
     return ProbeReport(
         name="ce-smoothness",
         statement=(

@@ -1,4 +1,5 @@
-"""Simultaneous gradient descent on both encoders, with per-step metrics."""
+"""Simultaneous gradient descent on both encoders, with per-step metrics,
+and the theory's step size for ``step_mode: theoretical``."""
 
 from __future__ import annotations
 
@@ -15,26 +16,15 @@ from .errors import DivergenceError
 from .rng import RngState
 
 
-def theoretical_hyperparams(
-    n: int, k: int, L: int, m: int, d: int, delta: float, epsilon: float,
-    c_step: float = 1.0, c_T: float = 1.0, c_ball: float = 1.0,
-) -> tuple[HyperParams, float, float]:
-    """Step sizes, iteration budget, and trajectory radii from the scaling
-    formulas (leading constants are configurable; the theory leaves them free).
-
-    eta = gamma = c_step * d eps^2 delta^2 / (n^7 L^2 k m)
-    T = ceil(c_T * n^10 L^2 k / (delta^3 eps^4))
-    omega = tau = c_ball * n^3.5 sqrt(d) / (delta eps sqrt(m))
-    """
+def theoretical_step_size(n: int, k: int, L: int, m: int, d: int,
+                          delta: float, epsilon: float) -> float:
+    """The step size eta = gamma = d eps^2 delta^2 / (n^7 L^2 k m) of the
+    convergence theorem, with its free leading constant set to 1."""
     if min(n, k, L, m, d) <= 0 or delta <= 0:
         raise ValueError("all size inputs must be positive")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    eta = c_step * d * epsilon**2 * delta**2 / (n**7 * L**2 * k * m)
-    T = math.ceil(c_T * n**10 * L**2 * k / (delta**3 * epsilon**4))
-    omega = c_ball * n**3.5 * math.sqrt(d) / (delta * epsilon * math.sqrt(m))
-    hp = HyperParams(k=k, eta=eta, gamma=eta, T=T, epsilon=epsilon)
-    return hp, omega, omega
+    return d * epsilon**2 * delta**2 / (n**7 * L**2 * k * m)
 
 
 @dataclass(frozen=True)
@@ -54,7 +44,6 @@ class StepRecord:
 @dataclass
 class TrainTrace:
     records: list[StepRecord] = field(default_factory=list)
-    mode: str = "exact"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -88,12 +77,12 @@ def _record(
     )
 
 
-def _check_finite(g: GradResult, t: int, trace: TrainTrace | None) -> None:
+def _check_finite(g: GradResult, t: int) -> None:
     ok = math.isfinite(g.loss) and all(
         np.all(np.isfinite(w)) for w in g.grad_w.weights + g.grad_theta.weights
     )
     if not ok:
-        raise DivergenceError(f"non-finite loss or gradient at iteration {t}", trace=trace)
+        raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
 
 
 def gd_step(
@@ -107,7 +96,7 @@ def gd_step(
     qp0, kp0 = ref if ref is not None else (qp, kp)
     started = time.perf_counter()
     g = grad_params(qp, kp, data, hp, rng=rng)
-    _check_finite(g, t, None)
+    _check_finite(g, t)
     new_q = Params(
         shape=qp.shape,
         weights=tuple(w - hp.eta * gw for w, gw in zip(qp.weights, g.grad_w.weights)),
@@ -122,31 +111,19 @@ def gd_step(
 def train(
     qp0: Params, kp0: Params, data: Dataset, hp: HyperParams,
     rng: RngState | None = None,
-    early_stop: bool = False,
 ) -> tuple[TrainTrace, Params, Params]:
-    """Run T simultaneous gradient-descent steps, recording T+1 states.
-
-    With early_stop, halts once the running average of the stacked
-    loss-vector norm drops to hp.epsilon.
-    """
-    trace = TrainTrace(mode=hp.mode)
+    """Run T simultaneous gradient-descent steps, recording T+1 states."""
+    trace = TrainTrace()
     qp, kp = qp0, kp0
     mc_rng = rng.child("mc") if rng is not None else None
-    norm_sum = 0.0
     for t in range(hp.T):
         step_rng = mc_rng.child(f"t{t}") if mc_rng is not None else None
-        try:
-            qp, kp, rec = gd_step(qp, kp, data, hp, ref=(qp0, kp0), rng=step_rng, t=t)
-        except DivergenceError as err:
-            raise DivergenceError(str(err), trace=trace) from err
+        qp, kp, rec = gd_step(qp, kp, data, hp, ref=(qp0, kp0), rng=step_rng, t=t)
         trace.records.append(rec)
-        norm_sum += rec.loss_vec_norm
-        if early_stop and norm_sum / (t + 1) <= hp.epsilon:
-            break
     # closing record: metrics of the final parameters, no update applied
     started = time.perf_counter()
     final_rng = mc_rng.child("final") if mc_rng is not None else None
     g = grad_params(qp, kp, data, hp, rng=final_rng)
-    _check_finite(g, len(trace), trace)
+    _check_finite(g, len(trace))
     trace.records.append(_record(len(trace), g, qp, kp, qp0, kp0, started))
     return trace, qp, kp

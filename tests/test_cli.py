@@ -54,7 +54,7 @@ class TestParseConfig:
 
     def test_round_trip(self):
         cfg = parse_config(json.dumps(TINY))
-        assert parse_config(cfg.to_json()) == cfg
+        assert parse_config(json.dumps(cfg.to_dict())) == cfg
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +179,8 @@ class TestCommands:
         ({"eta": math.nan}, ["sweep", "--m-grid", "16,32"]),
         ({"gamma": math.inf}, ["probe", "--probes", "ce"]),
         ({"gamma": 10**400}, ["train"]),
+        ({"m": 10**12}, ["train"]),
+        ({"m": 10**19}, ["train"]),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, overrides, argv):
         cfg = _write_config(tmp_path, **overrides)

@@ -17,7 +17,7 @@ from contrast_lab.contrastive import (
     total_loss_exact,
     total_loss_mc,
 )
-from contrast_lab.encoder import backprop_matrix, forward_trace, zeros_like_params
+from contrast_lab.encoder import Params, backprop_matrix, forward_trace
 from contrast_lab.errors import EnumerationError
 from contrast_lab.rng import RngState
 
@@ -273,8 +273,8 @@ def test_grad_params_matches_reverse_accumulation_oracle(small_nets, small_data)
 
 
 def test_grad_of_zero_weights_is_zero(small_shape, small_data):
-    qp = zeros_like_params(small_shape)
-    kp = zeros_like_params(small_shape)
+    qp = kp = Params(shape=small_shape,
+                     weights=tuple(np.zeros(dim) for dim in small_shape.layer_dims()))
     hp = HyperParams(k=2, eta=0.1, gamma=0.1, T=1)
     g = grad_params(qp, kp, small_data, hp)
     assert all(np.all(w == 0.0) for w in g.grad_w.weights)

@@ -11,7 +11,6 @@ from contrast_lab.encoder import (
     forward_trace,
     init_params,
     sum_of_squares,
-    zeros_like_params,
 )
 from contrast_lab.errors import ShapeError
 from contrast_lab.rng import RngState
@@ -116,9 +115,4 @@ def test_frobenius_distance_of_a_shift(small_nets, small_shape):
         np.linalg.norm(stacked), rel=1e-14)
     assert qp.frobenius_distance(qp) == 0.0
     with pytest.raises(ShapeError):
-        qp.frobenius_distance(zeros_like_params(Shape(L=2, m=4, d=2, b=3)))
-
-
-def test_zeros_like_params(small_shape):
-    z = zeros_like_params(small_shape)
-    assert all(np.all(w == 0.0) for w in z.weights)
+        qp.frobenius_distance(init_params(RngState(seed=23), Shape(L=2, m=4, d=2, b=3)))

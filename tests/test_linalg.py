@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from contrast_lab.errors import ConvergenceError, ShapeError
 from contrast_lab.linalg import (
     gaussian_matrix,
-    logsumexp,
     power_iteration,
     spectral_norm,
 )
@@ -70,24 +69,3 @@ class TestSpectralNorm:
         monkeypatch.setattr("contrast_lab.linalg.POWER_MAX_STEPS", 2)
         with pytest.raises(ConvergenceError):
             spectral_norm(gen.standard_normal((50, 50)))
-
-
-class TestLogsumexp:
-    def test_matches_naive_small(self, gen):
-        v = gen.uniform(-5, 5, size=20)
-        assert logsumexp(v) == pytest.approx(np.log(np.sum(np.exp(v))), rel=1e-14)
-
-    def test_no_overflow(self):
-        assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(
-            1000.0 + np.log(2.0))
-
-    @given(arrays(np.float64, (8,), elements=st.floats(-700, 700)))
-    @settings(max_examples=100, deadline=None)
-    def test_bracketed_by_max(self, v):
-        out = logsumexp(v)
-        assert out >= v.max() - 1e-12
-        assert out <= v.max() + np.log(len(v)) + 1e-12
-
-    def test_shift_identity(self, gen):
-        v = gen.uniform(-3, 3, size=10)
-        assert logsumexp(v + 7.5) == pytest.approx(logsumexp(v) + 7.5, rel=1e-14)

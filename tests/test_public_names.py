@@ -1,0 +1,55 @@
+"""Every public top-level function and class of the package has a caller:
+code in the package, the benchmark's traced run, or an acceptance test that
+uses it as an independent oracle or measurement."""
+
+import ast
+import functools
+import runpy
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "contrast_lab"
+TRACED = {(module.rsplit(".", 1)[1], attr.split(".")[0])
+          for module, attr, _, _ in runpy.run_path(str(REPO / "bench" / "tracer.py"))["TARGETS"]}
+# Used only by tests, on purpose.
+ORACLES = {
+    "enumerate_subsets",  # hand-rolled subset enumerator behind criterion 3
+    "forward_trace",      # one-sample forward pass, the reference for forward_batch
+    "backprop_matrix",    # per-sample Jacobian chain of the reverse-accumulation oracle
+    "losshat_pair",       # one pairwise key-side vector, checked against enumeration
+    "descent_check",      # criterion 8's per-step descent measurement
+}
+
+
+@functools.cache
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _public_names() -> list[tuple[str, str]]:
+    return [(module, node.name)
+            for module, tree in _modules().items() if module != "__init__"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+@pytest.mark.parametrize("module, name", _public_names())
+def test_public_name_has_a_caller(module, name):
+    if name in ORACLES or (module, name) in TRACED:
+        return
+    callers = [
+        f"{other}:{getattr(node, 'name', node.lineno)}"
+        for other, tree in _modules().items() if other != "__init__"
+        for node in tree.body
+        if not (other == module and getattr(node, "name", None) == name)
+        and name in _used_names(node)
+    ]
+    assert callers, f"{module}.{name} is reached only from tests"

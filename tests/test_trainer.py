@@ -8,27 +8,18 @@ from contrast_lab.contrastive import HyperParams, grad_params
 from contrast_lab.encoder import Params
 from contrast_lab import trainer
 from contrast_lab.errors import DivergenceError
-from contrast_lab.trainer import gd_step, theoretical_hyperparams, train
+from contrast_lab.trainer import gd_step, theoretical_step_size, train
 
 
 def test_theoretical_hyperparams_formulas():
     n, k, L, m, d, delta, eps = 4, 2, 3, 100, 8, 0.5, 0.5
-    hp, omega, tau = theoretical_hyperparams(n, k, L, m, d, delta, eps)
-    assert hp.eta == pytest.approx(d * eps**2 * delta**2 / (n**7 * L**2 * k * m))
-    assert hp.gamma == hp.eta
-    assert hp.T == math.ceil(n**10 * L**2 * k / (delta**3 * eps**4))
-    assert omega == tau
-    assert omega == pytest.approx(n**3.5 * math.sqrt(d) / (delta * eps * math.sqrt(m)))
-    # constants rescale linearly
-    hp2, omega2, _ = theoretical_hyperparams(n, k, L, m, d, delta, eps,
-                                             c_step=2.0, c_ball=3.0)
-    assert hp2.eta == pytest.approx(2 * hp.eta)
-    assert omega2 == pytest.approx(3 * omega)
+    eta = theoretical_step_size(n, k, L, m, d, delta, eps)
+    assert eta == pytest.approx(d * eps**2 * delta**2 / (n**7 * L**2 * k * m))
 
 
 def test_theoretical_hyperparams_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        theoretical_hyperparams(4, 2, 3, 100, 8, 0.5, 1.5)
+        theoretical_step_size(4, 2, 3, 100, 8, 0.5, 1.5)
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +92,6 @@ def test_divergent_step_size_raises(small_nets_module):
     hp = HyperParams(k=2, eta=1e200, gamma=1e200, T=5)
     with pytest.raises(DivergenceError):
         train(qp, kp, data, hp)
-
-
-def test_early_stop_halts_when_loss_vectors_shrink(small_nets_module):
-    qp, kp, data = small_nets_module
-    hp = HyperParams(k=2, eta=0.05, gamma=0.05, T=500, epsilon=0.5)
-    trace, _, _ = train(qp, kp, data, hp, early_stop=True)
-    assert len(trace) < 501
 
 
 def test_step_ms_covers_the_record_stage(small_nets_module, monkeypatch):
