@@ -44,21 +44,19 @@ def generate_separated(
     n: int,
     b: int,
     delta_min: float,
-    max_attempts: int | None = None,
 ) -> Dataset:
     """Unit vectors uniform on the sphere, conditioned on pairwise separation.
 
     Rejection sampling: draw the full set, keep it only if every pair is at
-    least ``delta_min`` apart.  The stored ``delta`` is the realized minimum
-    distance, which downstream bound ratios use (it is what the inequalities
-    actually reference, and is tighter than the request).
+    least ``delta_min`` apart, for at most 10 n^2 draws.  The stored ``delta``
+    is the realized minimum distance, which downstream bound ratios use (it is
+    what the inequalities actually reference, and is tighter than the request).
     """
     if n < 2 or b < 2:
         raise ValueError(f"need n >= 2 and b >= 2, got n={n}, b={b}")
     if not 0.0 < delta_min < SQRT2:
         raise GenerationError(f"delta_min must lie in (0, sqrt(2)), got {delta_min}")
-    if max_attempts is None:
-        max_attempts = 10 * n * n
+    max_attempts = 10 * n * n
     gen = rng.generator()
     for attempt in range(1, max_attempts + 1):
         pts = gen.standard_normal((n, b))

@@ -157,6 +157,11 @@ class BatchTrace:
     masks: tuple[np.ndarray, ...]
     outputs: np.ndarray
 
+    @property
+    def pattern(self) -> np.ndarray:
+        """The activation pattern: every mask, flattened layer by layer."""
+        return np.concatenate([m.ravel() for m in self.masks])
+
 
 def forward_batch(p: Params, xs: np.ndarray) -> BatchTrace:
     """xs: (n, b) rows of inputs."""

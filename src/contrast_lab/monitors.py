@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,13 +116,13 @@ def masked_chain_norms(p: Params, trace: BatchTrace, a: int, b: int,
     return power_iteration(chain, chain_t, start.standard_normal((p.shape.m, n)), tol)
 
 
-def _backward_chain_ratios(p: Params, trace: BatchTrace, n_probes: int = 8) -> float:
-    """Max over samples, layers l >= 1, and random output probes u of
+def _backward_chain_ratios(p: Params, trace: BatchTrace) -> float:
+    """Max over samples, layers l >= 1, and eight random output probes u of
     ||u^T W_L D_{L-1} ... D_l W_l|| / (sqrt(m/d) ||u||)."""
     L, m, d = p.shape.L, p.shape.m, p.shape.d
     n = trace.outputs.shape[1]
     gen = RngState(seed=0xBAC2, stream=0).generator()
-    u = gen.standard_normal((d, n_probes))
+    u = gen.standard_normal((d, 8))
     u_norms = np.linalg.norm(u, axis=0)
     worst = 0.0
     scale = math.sqrt(m / d)
@@ -169,7 +167,7 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
     xs = data.points
     notes: list[str] = []
     if epsilon is None:
-        epsilon = hidden_norm_radius(shape, xs.shape[0])
+        epsilon = hidden_norm_radius(shape, data.n)
         notes.append(
             "hidden-norm radius exp(z sqrt(5L/(4m))) - 1 with "
             f"z = Phi^-1(1 - p/(4nL)), p = {HIDDEN_NORM_FALSE_FAILURE_P:g}")
@@ -221,7 +219,7 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
             "layer at reduced strength, and masked weight chains have spectral "
             "norm O(sqrt(depth))"
         ),
-        config={"L": L, "m": shape.m, "d": shape.d, "n": xs.shape[0],
+        config={"L": L, "m": shape.m, "d": shape.d, "n": data.n,
                 "delta": data.delta, "epsilon": epsilon},
         scalars=scalars,
         thresholds=thresholds,
@@ -234,27 +232,17 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
 # gradient norm scaling
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CONTRAST_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-
-
 def gradient_rows(
     data: Dataset, hp: HyperParams, ms: tuple[int, ...],
     L: int, d: int, rng: RngState,
 ) -> list[dict]:
     """One row per width m: the loss, the squared gradient Frobenius norms of
     both encoders and the loss-vector norms, at a fresh pair of nets drawn
-    from ``rng``'s ``w-{m}`` and ``theta-{m}`` streams.  Widths run in
-    parallel on up to ``CONTRAST_LAB_THREADS`` threads (default: all cores).
+    from ``rng``'s ``w-{m}`` and ``theta-{m}`` streams.
     """
-    b = data.points.shape[1]
 
     def one(m: int) -> dict:
-        shape = Shape(L=L, m=m, d=d, b=b)
+        shape = Shape(L=L, m=m, d=d, b=data.b)
         qp = init_params(rng.child(f"w-{m}"), shape)
         kp = init_params(rng.child(f"theta-{m}"), shape)
         g = grad_params(qp, kp, data, hp)
@@ -267,8 +255,7 @@ def gradient_rows(
             "losshat_norm": g.loss_vectors.hat_norm,
         }
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(one, ms))
+    return [one(m) for m in ms]
 
 
 def gradient_bound_probe(
@@ -281,7 +268,7 @@ def gradient_bound_probe(
     log-log slope in m should be 1; the normalized ratio
     r = ||grad||^2 n d / (m * sum ||loss vec||^2) should sit in a stable band.
     """
-    n = data.points.shape[0]
+    n = data.n
     gw2, gt2, rw, rt = [], [], [], []
     for row in gradient_rows(data, hp, ms, L, d, rng):
         m, w2, t2 = row["m"], row["grad_w_sq"], row["grad_theta_sq"]
@@ -323,10 +310,6 @@ def gradient_bound_probe(
 # semi-smoothness
 
 
-def _loss_at(qp: Params, kp: Params, data: Dataset, k: int) -> float:
-    return total_loss_exact(encode_batch(qp, kp, data), k)
-
-
 def _unit_frobenius_directions(qp: Params, kp: Params, rng: RngState) -> tuple[list, list]:
     gen = rng.generator()
     u = [gen.standard_normal(w.shape) for w in qp.weights]
@@ -364,7 +347,8 @@ def smoothness_probe(
         inner = sum(float(np.sum(g * a)) for g, a in zip(base.grad_w.weights, u))
         inner += sum(float(np.sum(g * a)) for g, a in zip(base.grad_theta.weights, v))
         for ri, rho in enumerate(rhos):
-            val = _loss_at(_shifted(qp, u, rho), _shifted(kp, v, rho), data, hp.k)
+            val = total_loss_exact(encode_batch(_shifted(qp, u, rho), _shifted(kp, v, rho), data),
+                                   hp.k, cap=hp.enumeration_cap)
             if not math.isfinite(val):
                 raise EvaluationError(f"perturbed loss non-finite at rho={rho}")
             residuals[di, ri] = val - base.loss - rho * inner
@@ -373,8 +357,7 @@ def smoothness_probe(
     fittable = rho_arr > 0
     fit = fit_loglog(rho_arr[fittable], mean_abs[fittable])
     # residual magnitude relative to the two structural error scales
-    m, d = qp.shape.m, qp.shape.d
-    n = data.points.shape[1]
+    m, d, n = qp.shape.m, qp.shape.d, data.n
     first_order_scale = rho_arr[fittable] ** (4 / 3) * math.sqrt(
         m * math.log(m) / (n * d)
     ) * base.loss_vectors.total_norm
@@ -489,7 +472,7 @@ def perturbation_probe(
         raise ValueError("omegas must be non-negative and ascending")
     xs = data.points
     base = forward_batch(qp, xs)
-    base_masks = np.concatenate([m.ravel() for m in base.masks])
+    base_pattern = base.pattern
     flips = np.zeros((n_directions, len(omegas)))
     out_drift = np.zeros((n_directions, len(omegas)))
     hid_drift = np.zeros((n_directions, len(omegas)))
@@ -498,8 +481,7 @@ def perturbation_probe(
         dirs = [_unit_spectral_direction(gen, w.shape) for w in qp.weights]
         for oi, omega in enumerate(omegas):
             t = forward_batch(_shifted(qp, dirs, omega), xs)
-            moved = np.concatenate([m.ravel() for m in t.masks])
-            flips[di, oi] = float(np.mean(moved ^ base_masks))
+            flips[di, oi] = float(np.mean(t.pattern ^ base_pattern))
             out_drift[di, oi] = float(
                 np.max(np.linalg.norm(t.outputs - base.outputs, axis=0))
             )
@@ -561,7 +543,7 @@ def perturbation_probe(
         ),
         config={"omegas": list(omegas), "n_directions": n_directions,
                 "m": qp.shape.m, "L": qp.shape.L, "d": qp.shape.d,
-                "n": xs.shape[0]},
+                "n": data.n},
         scalars=scalars,
         fits=fits,
         thresholds=thresholds,

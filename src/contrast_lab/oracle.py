@@ -39,17 +39,23 @@ def enumerate_subsets(n: int, k: int, exclude: int) -> Iterator[tuple[int, ...]]
             idx[p] = idx[p - 1] + 1
 
 
-def _writable_weights(p: Params) -> list[np.ndarray]:
-    return [w.copy() for w in p.weights]
+def _nudges(p: Params, h: float) -> Iterator[tuple[int, int, float, Params]]:
+    """Walk every weight entry of p, +h then -h: set the entry to orig +- h,
+    yield (layer, flat index, sign, moved), then restore it.
 
-
-def _params_view(shape, weights: list[np.ndarray]) -> Params:
-    p = Params(shape=shape, weights=tuple(weights))
-    # Params freezes its arrays; re-open them so the probe loop can keep
-    # mutating single entries in place.
-    for w in weights:
-        w.flags.writeable = True
-    return p
+    moved wraps read-only views of one private copy of p's weights, so the
+    walk writes through the copy while no caller can write through moved.
+    """
+    work = [w.copy() for w in p.weights]
+    moved = Params(shape=p.shape, weights=tuple(w.view() for w in work))
+    for l, w in enumerate(work):
+        flat = w.ravel()
+        for c in range(flat.size):
+            orig = flat[c]
+            for sign in (+1.0, -1.0):
+                flat[c] = orig + sign * h
+                yield l, c, sign, moved
+            flat[c] = orig
 
 
 def fd_gradient(
@@ -58,37 +64,29 @@ def fd_gradient(
     kp: Params,
     h: float = DEFAULT_FD_STEP,
 ) -> tuple[Params, Params]:
-    """Central-difference gradient of loss_fn w.r.t. every weight entry."""
+    """Central-difference gradient of loss_fn w.r.t. every weight entry.
+
+    loss_fn sees the moved network through read-only arrays, so a write
+    into it raises ValueError instead of corrupting the walk.
+    """
     if h <= 0:
         raise ValueError("h must be positive")
 
     def grad_one(target_idx: int) -> Params:
-        base = [qp, kp]
-        work = _writable_weights(base[target_idx])
-        grads = []
-        for l, w in enumerate(work):
-            g = np.empty_like(w)
-            flat = w.ravel()
-            gflat = g.ravel()
-            for c in range(flat.size):
-                orig = flat[c]
-                vals = []
-                for sign in (+1.0, -1.0):
-                    flat[c] = orig + sign * h
-                    pair = [qp, kp]
-                    pair[target_idx] = _params_view(base[target_idx].shape, work)
-                    val = loss_fn(pair[0], pair[1])
-                    if not math.isfinite(val):
-                        flat[c] = orig
-                        raise EvaluationError(
-                            f"non-finite loss at net {target_idx}, layer {l}, "
-                            f"coordinate {c}, sign {sign:+.0f}"
-                        )
-                    vals.append(val)
-                flat[c] = orig
-                gflat[c] = (vals[0] - vals[1]) / (2.0 * h)
-            grads.append(g)
-        return Params(shape=base[target_idx].shape, weights=tuple(grads))
+        base = (qp, kp)[target_idx]
+        grads = [np.empty_like(w) for w in base.weights]
+        for l, c, sign, moved in _nudges(base, h):
+            val = loss_fn(moved, kp) if target_idx == 0 else loss_fn(qp, moved)
+            if not math.isfinite(val):
+                raise EvaluationError(
+                    f"non-finite loss at net {target_idx}, layer {l}, "
+                    f"coordinate {c}, sign {sign:+.0f}"
+                )
+            if sign > 0:
+                plus = val
+            else:
+                grads[l].flat[c] = (plus - val) / (2.0 * h)
+        return Params(shape=base.shape, weights=tuple(grads))
 
     return grad_one(0), grad_one(1)
 
@@ -108,10 +106,6 @@ class KinkMask:
         return marked / total
 
 
-def _net_masks(p: Params, xs: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.ravel() for m in forward_batch(p, xs).masks])
-
-
 def kink_mask(qp: Params, kp: Params, data: Dataset, h: float) -> KinkMask:
     """Mark weight coordinates whose +-h perturbation flips any activation
     bit of any forward trace (either encoder, any sample)."""
@@ -119,30 +113,15 @@ def kink_mask(qp: Params, kp: Params, data: Dataset, h: float) -> KinkMask:
         raise ValueError("h must be nonnegative")
     xs = data.points
 
-    def mask_one(target_idx: int) -> tuple[np.ndarray, ...]:
-        base = [qp, kp]
-        out = []
-        if h == 0.0:
-            return tuple(np.zeros(w.shape, dtype=bool) for w in base[target_idx].weights)
+    def mask_one(p: Params) -> tuple[np.ndarray, ...]:
         # perturbing one net cannot move the other net's activations
-        ref = _net_masks(base[target_idx], xs)
-        work = _writable_weights(base[target_idx])
-        for w in work:
-            flags = np.zeros(w.shape, dtype=bool)
-            flat = w.ravel()
-            fflat = flags.ravel()
-            for c in range(flat.size):
-                orig = flat[c]
-                flipped = False
-                for sign in (+1.0, -1.0):
-                    flat[c] = orig + sign * h
-                    probe = _params_view(base[target_idx].shape, work)
-                    if not np.array_equal(_net_masks(probe, xs), ref):
-                        flipped = True
-                        break
-                flat[c] = orig
-                fflat[c] = flipped
-            out.append(flags)
-        return tuple(out)
+        ref = forward_batch(p, xs).pattern
+        flags = [np.zeros(w.shape, dtype=bool) for w in p.weights]
+        for l, c, sign, moved in _nudges(p, h):
+            if sign < 0 and flags[l].flat[c]:
+                continue  # +h already flipped a bit
+            if not np.array_equal(forward_batch(moved, xs).pattern, ref):
+                flags[l].flat[c] = True
+        return tuple(flags)
 
-    return KinkMask(query=mask_one(0), key=mask_one(1))
+    return KinkMask(query=mask_one(qp), key=mask_one(kp))

@@ -5,9 +5,9 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from contrast_lab import Shape, generate_separated, init_params
+from contrast_lab import Shape, generate_separated, init_params, monitors
 from contrast_lab.cli import main
-from contrast_lab.contrastive import HyperParams
+from contrast_lab.contrastive import DEFAULT_ENUMERATION_CAP, HyperParams, total_loss_exact
 from contrast_lab.encoder import Params, forward_batch
 from contrast_lab.errors import ConvergenceError
 from contrast_lab.monitors import (
@@ -209,6 +209,26 @@ class TestSmoothnessProbe:
         r2 = smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3),
                               root.child("same"), n_directions=1)
         assert r1.scalars["mean_abs_residuals"] == r2.scalars["mean_abs_residuals"]
+
+    def test_config_counts_samples(self, setup):
+        root, data, qp, kp, hp = setup
+        assert data.points.shape[0] != data.points.shape[1]
+        report = smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3),
+                                  root.child("sp"), n_directions=1)
+        assert report.config["n"] == len(data.points)
+
+    def test_perturbed_losses_use_the_enumeration_cap(self, setup, monkeypatch):
+        root, data, qp, kp, _ = setup
+        hp = HyperParams(k=2, eta=0.05, gamma=0.05, T=30, enumeration_cap=2 * 10**6)
+        caps = []
+
+        def spy(batch, k, cap=DEFAULT_ENUMERATION_CAP):
+            caps.append(cap)
+            return total_loss_exact(batch, k, cap)
+
+        monkeypatch.setattr(monitors, "total_loss_exact", spy)
+        smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3), root.child("sp"), n_directions=1)
+        assert caps == [hp.enumeration_cap] * 2
 
 
 def test_descent_check_on_converging_run(setup):

@@ -63,6 +63,21 @@ class TestFdGradient:
         for saved, now in zip(before, qp.weights + kp.weights):
             assert np.array_equal(saved, now)
 
+    def test_loss_fn_cannot_write_into_the_networks(self):
+        # the first call already sees the walked query net, whose arrays
+        # must refuse the write
+        qp, kp = _tiny_params(3), _tiny_params(4)
+        calls = []
+
+        def writes(a, b):
+            calls.append(a)
+            a.weights[0][0, 0] = 0.0
+            return 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            fd_gradient(writes, qp, kp, h=1e-5)
+        assert len(calls) == 1 and calls[0] is not qp
+
 
 class TestKinkMask:
     def _dataset(self):

@@ -1,6 +1,7 @@
 """Every public top-level function and class of the package has a caller:
 code in the package, the benchmark's traced run, or an acceptance test that
-uses it as an independent oracle or measurement."""
+uses it as an independent oracle or measurement.  No module re-opens an array
+for writing once it has been frozen."""
 
 import ast
 import functools
@@ -53,3 +54,14 @@ def test_public_name_has_a_caller(module, name):
         and name in _used_names(node)
     ]
     assert callers, f"{module}.{name} is reached only from tests"
+
+
+def test_no_module_reopens_frozen_arrays():
+    reopened = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant) and node.value.value is True
+        and any(isinstance(t, ast.Attribute) and t.attr == "writeable" for t in node.targets)
+    ]
+    assert not reopened, f"writeable = True at {reopened}"
