@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import __version__
 from .config import ExperimentConfig, load_config
@@ -49,6 +50,9 @@ from .trainer import TrainTrace, theoretical_step_size, train
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 3
+
+# Chance that a correct sampler fails verify's Monte-Carlo clause (two-sided).
+MC_FALSE_FAILURE_P = 1e-6
 
 # Per-step trace columns after ``t``, in the order both CSV writers use.
 TRACE_COLUMNS = ("loss", "losstilde_norm", "losshat_norm", "loss_vec_norm",
@@ -176,14 +180,15 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
     exact = total_loss_exact(batch, small.k)
     est, stderr = total_loss_mc(batch, small.k, root.child("verify-mc"), samples=4000)
-    results["mc_within_3_stderr"] = abs(est - exact) <= 3 * max(stderr, 1e-30)
+    z = -float(ndtri(MC_FALSE_FAILURE_P / 2))
+    results["mc_within_z_stderr"] = abs(est - exact) <= z * max(stderr, 1e-30)
 
     ce = ce_smoothness_check(root.child("verify-ce"), trials=10_000)
     results["ce_smoothness"] = bool(ce.passed)
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify.json", {**_stamp(cfg), "results": results,
-                                      "max_grad_rel_error": rel})
+    _write_json(out / "verify.json", {**_stamp(cfg), "results": results, "max_grad_rel_error": rel,
+                                      "mc_false_failure_p": MC_FALSE_FAILURE_P, "mc_z": z})
     for name, ok in results.items():
         print(f"verify: {name}: {'pass' if ok else 'FAIL'}")
     return EXIT_PASS if all(results.values()) else EXIT_FAIL

@@ -113,7 +113,28 @@ def _relative_subsets(n_others: int, k: int) -> np.ndarray:
     return np.asarray(combos, dtype=np.intp)
 
 
-def _check_cap(n: int, k: int, cap: int) -> None:
+def _logit_table(batch: EncodedBatch, anchors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For the r-th other j of anchor i = anchors[a]: others[a, r] = j, the key
+    difference z[a, r] = k_j - k_i and the logit q_i . z[a, r], shape (g, n-1)."""
+    r = np.arange(batch.n - 1)
+    others = r + (r >= anchors[:, None])
+    z = batch.keys[others] - batch.keys[anchors, None]
+    # The stacked product rounds like the per-anchor z_i @ q_i; einsum does not.
+    return others, z, (z @ batch.queries[anchors, :, None])[..., 0]
+
+
+def _subset_losses(a: np.ndarray) -> np.ndarray:
+    """log(1 + sum exp(a)) over the last axis, shifted by the row maximum."""
+    hi = np.maximum(a.max(axis=-1), 0.0)
+    e = a - hi[..., None]
+    s = np.exp(e, out=e).sum(axis=-1)
+    del e  # as large as a; free it before the vectors k times smaller
+    return hi + np.log(s + np.exp(-hi))
+
+
+def _exact_groups(n: int, k: int, cap: int):
+    """Anchors in groups of at most cap subset losses (one anchor at least), each
+    with the flat index (g, C(n-1, k), k) of every subset member into its logits."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if math.comb(n - 1, k) > cap:
@@ -121,56 +142,25 @@ def _check_cap(n: int, k: int, cap: int) -> None:
             f"C({n - 1},{k}) = {math.comb(n - 1, k)} subsets exceeds the "
             f"enumeration cap {cap}; use monte-carlo mode"
         )
+    rel = _relative_subsets(n - 1, k)
+    size = max(1, cap // len(rel))
+    return ((anchors, (np.arange(len(anchors)) * (n - 1))[:, None, None] + rel)
+            for anchors in np.split(np.arange(n), range(size, n, size)))
 
 
-def _subset_losses_and_weights(
-    logits: np.ndarray, subsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subset losses log(1 + sum exp(logits[subset])) and softmax weights.
-
-    logits: (n_others,); subsets: (S, k) of indices into logits.
-    Returns losses (S,) and weights (S, k), where weights[s, j] =
-    exp(logits)/(1 + sum over the subset) for the j-th member of subset s.
-    """
-    a = logits[subsets]  # (S, k)
-    hi = np.maximum(a.max(axis=1), 0.0)
-    lse = hi + np.log(np.exp(-hi) + np.sum(np.exp(a - hi[:, None]), axis=1))
-    return lse, np.exp(a - lse[:, None])
+def _mc_index(rng: RngState, samples: int, n: int, k: int) -> np.ndarray:
+    """Flat index (samples, n, k) of uniform negative subsets into all n anchors' logits."""
+    flat = _draw_subsets(rng.generator(), samples, n, k)
+    flat += (np.arange(n) * (n - 1))[:, None]
+    return flat
 
 
-def _per_sample_stats(
-    batch: EncodedBatch, i: int, subsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Subset losses, the averaged per-negative softmax coefficients, and the
-    key-difference matrix for sample i.
-
-    Coefficients come back as an (n,) vector c with c[j] equal to the mean
-    over the given subsets of weight(j) (zero for subsets not containing j,
-    and c[i] = 0 by construction).
-    """
-    n = batch.n
-    others = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-    z = batch.keys[others] - batch.keys[i]  # (n-1, d)
-    logits = z @ batch.queries[i]
-    losses, weights = _subset_losses_and_weights(logits, subsets)
-    c_rel = np.zeros(n - 1)
-    np.add.at(c_rel, subsets.ravel(), weights.ravel())
-    c_rel /= subsets.shape[0]
-    c = np.zeros(n)
-    c[others] = c_rel
-    return losses, c, z
-
-
-def total_loss_exact(
-    batch: EncodedBatch, k: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
-    _check_cap(batch.n, k, cap)
-    subsets = _relative_subsets(batch.n - 1, k)
-    total = 0.0
-    for i in range(batch.n):
-        losses, _, _ = _per_sample_stats(batch, i, subsets)
-        total += float(np.mean(losses))
-    return total / batch.n
+def total_loss_exact(batch: EncodedBatch, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+    means = [_subset_losses(np.take(_logit_table(batch, anchors)[2], flat)).mean(axis=1)
+             for anchors, flat in _exact_groups(batch.n, k, cap)]
+    # cumsum adds the anchors' means in order, like the per-anchor reference in
+    # the tests; np.sum would pair them
+    return float(np.cumsum(np.concatenate(means))[-1]) / batch.n
 
 
 def total_loss_mc(
@@ -179,15 +169,30 @@ def total_loss_mc(
     """Unbiased Monte-Carlo estimate of the exact loss, with standard error."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    n = batch.n
-    rel = _draw_subsets(rng.generator(), samples, n, k)
-    per_anchor = np.empty((samples, n))
-    for i in range(n):
-        per_anchor[:, i] = _per_sample_stats(batch, i, rel[:, i])[0]
-    draws = per_anchor.mean(axis=1)
-    est = float(np.mean(draws))
-    stderr = float(np.std(draws, ddof=1) / math.sqrt(samples))
-    return est, stderr
+    flat = _mc_index(rng, samples, batch.n, k)
+    draws = _subset_losses(np.take(_logit_table(batch, np.arange(batch.n))[2], flat)).mean(axis=1)
+    return float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(samples))
+
+
+def _coefficient_table(batch: EncodedBatch, groups) -> tuple[float, np.ndarray, np.ndarray]:
+    """The total loss, the pairwise coefficients c[i, j] (the mean over the
+    subsets of the softmax weight of key j as a negative for query i) and
+    losstilde, over the (anchors, flat index) groups."""
+    n, d = batch.queries.shape
+    coeff = np.zeros((n, n))
+    losstilde = np.empty((n, d))
+    means = []
+    for anchors, flat in groups:
+        others, z, logits = _logit_table(batch, anchors)
+        a = np.take(logits, flat)
+        losses = _subset_losses(a)
+        means.append(losses.mean(axis=1))
+        a -= losses[..., None]
+        np.exp(a, out=a)  # the softmax weight of each subset member
+        c = np.bincount(flat.ravel(), a.ravel(), logits.size).reshape(logits.shape) / flat.shape[1]
+        coeff[anchors[:, None], others] = c
+        losstilde[anchors] = (c[:, None] @ z)[:, 0]
+    return float(np.cumsum(np.concatenate(means))[-1]) / n, coeff, losstilde
 
 
 def loss_and_vectors(
@@ -205,29 +210,17 @@ def loss_and_vectors(
       losstilde_i = sum_j c[i, j] (k_j - k_i)
       losshat_i   = sum_{j != i} (c[j, i] q_j - c[i, j] q_i)
     """
-    n, d = batch.queries.shape
     if mode == "exact":
-        _check_cap(n, k, cap)
-        sampled = None
+        groups = _exact_groups(batch.n, k, cap)
     elif mode == "monte-carlo":
         if rng is None:
             raise ValueError("monte-carlo mode needs an rng")
-        sampled = _draw_subsets(rng.generator(), mc_samples, n, k)
+        # anchor-major, so that each anchor's mean runs over contiguous losses
+        groups = [(np.arange(batch.n),
+                   np.ascontiguousarray(_mc_index(rng, mc_samples, batch.n, k).transpose(1, 0, 2)))]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    coeff = np.zeros((n, n))
-    losstilde = np.zeros((n, d))
-    total = 0.0
-    for i in range(n):
-        subsets = _relative_subsets(n - 1, k) if sampled is None else sampled[:, i]
-        losses, c, z = _per_sample_stats(batch, i, subsets)
-        total += float(np.mean(losses))
-        coeff[i] = c
-        others = np.concatenate([np.arange(i), np.arange(i + 1, n)])
-        losstilde[i] = z.T @ c[others]
-    total /= n
-
+    total, coeff, losstilde = _coefficient_table(batch, groups)
     # Antisymmetric pairwise combination; summing losshat over i telescopes to 0.
     losshat = coeff.T @ batch.queries - coeff.sum(axis=1)[:, None] * batch.queries
     return total, LossVectors(losstilde=losstilde, losshat=losshat)
@@ -239,10 +232,7 @@ def losshat_pair(
     """Averaged softmax weight of key j as a negative for query i, times q_i."""
     if i == j:
         raise IndexError("losshat_pair needs i != j")
-    _check_cap(batch.n, k, cap)
-    subsets = _relative_subsets(batch.n - 1, k)
-    _, c, _ = _per_sample_stats(batch, i, subsets)
-    return c[j] * batch.queries[i]
+    return _coefficient_table(batch, _exact_groups(batch.n, k, cap))[1][i, j] * batch.queries[i]
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,7 @@ def gradient_bound_probe(
     ||grad||_F^2 = Theta(m / d) * (per-sample loss-vector energy), so the
     log-log slope in m should be 1; the normalized ratio
     r = ||grad||^2 n d / (m * sum ||loss vec||^2) should sit in a stable band.
+    A line fits two widths exactly (R^2 = 1), so fewer than three give no verdict.
     """
     n = data.n
     gw2, gt2, rw, rt = [], [], [], []
@@ -287,7 +288,9 @@ def gradient_bound_probe(
         "grad_w_sq": gw2, "grad_theta_sq": gt2,
     }
     thresholds = {"slope_lo": 0.85, "slope_hi": 1.15, "r2_min": 0.95}
-    conclusive = fit_w.r2 >= thresholds["r2_min"] and fit_t.r2 >= thresholds["r2_min"]
+    widths_ok = len(set(ms)) >= 3
+    conclusive = (widths_ok and fit_w.r2 >= thresholds["r2_min"]
+                  and fit_t.r2 >= thresholds["r2_min"])
     in_band = all(
         thresholds["slope_lo"] <= f.slope <= thresholds["slope_hi"] for f in (fit_w, fit_t)
     )
@@ -303,6 +306,7 @@ def gradient_bound_probe(
         fits={"grad_w_sq_vs_m": fit_w, "grad_theta_sq_vs_m": fit_t},
         thresholds=thresholds,
         passed=in_band if conclusive else None,
+        notes=() if widths_ok else ("fewer than three distinct widths: no verdict",),
     )
 
 

@@ -21,6 +21,7 @@ from contrast_lab.cli import (
     main,
 )
 from contrast_lab.config import ExperimentConfig, parse_config
+from contrast_lab import contrastive
 from contrast_lab.contrastive import HyperParams
 from contrast_lab.errors import ConfigError
 from contrast_lab.rng import RngState
@@ -217,6 +218,29 @@ class TestCommands:
         cfg = _write_config(tmp_path, n=8, k=2, L=3, m=512, d=32, b=16, T=200,
                             eta=0.0625, gamma=0.0625, seed=2017931360)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_PASS
+
+    def test_verify_fails_a_biased_sampler(self, tmp_path, monkeypatch):
+        # every draw takes the first k others of each anchor
+        monkeypatch.setattr(contrastive, "_draw_subsets",
+                            lambda gen, samples, n, k: np.tile(np.arange(k), (samples, n, 1)))
+        out = tmp_path / "v"
+        assert main(["verify", "--config", _write_config(tmp_path), "--out", str(out)]) == EXIT_FAIL
+        payload = json.loads((out / "verify.json").read_text())
+        assert payload["results"] == {"losshat_sums_to_zero": True,
+                                      "grad_matches_finite_differences": True,
+                                      "mc_within_z_stderr": False, "ce_smoothness": True}
+        assert payload["mc_false_failure_p"] == 1e-6
+        assert payload["mc_z"] == pytest.approx(4.8916, abs=1e-4)
+
+    def test_gradient_probe_needs_three_widths(self, tmp_path):
+        # m=64 gives the widths {64, 128}, and a line through two points has R^2 = 1
+        cfg = _write_config(tmp_path, n=6, k=2, L=3, m=64, d=8, b=8, seed=1, T=20,
+                            eta=0.0625, gamma=0.0625)
+        out = tmp_path / "p"
+        assert main(["probe", "--config", cfg, "--out", str(out),
+                     "--probes", "gradient"]) == EXIT_INCONCLUSIVE
+        report = json.loads((out / "probe_gradient.json").read_text())["report"]
+        assert report["config"]["ms"] == [64, 128] and report["passed"] is None
 
 
 _FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]

@@ -7,6 +7,7 @@ import pytest
 
 from contrast_lab import contrastive
 from contrast_lab.contrastive import (
+    DEFAULT_ENUMERATION_CAP,
     DRAW_BLOCK_SAMPLES,
     EncodedBatch,
     HyperParams,
@@ -205,6 +206,36 @@ def test_draw_keeps_only_the_index_array():
     assert peak <= drawn.nbytes + 2.5 * block_bytes
 
 
+@pytest.mark.parametrize("n, k, d, cap, samples", [
+    (24, 6, 4, DEFAULT_ENUMERATION_CAP, None),  # three groups of up to 9 anchors
+    (24, 6, 4, math.comb(23, 6), None),  # one anchor per group
+    (20, 3, 8, None, 20_000),
+])
+def test_kernel_peak_stays_within_four_logit_tables(n, k, d, cap, samples):
+    """A call holds one gathered logit table at a time -- a group's in exact
+    mode, the whole draw in Monte-Carlo mode -- beside its flat index, one
+    shifted copy and per-subset vectors k times smaller."""
+    batch = random_batch(np.random.default_rng(n), n, d)
+    if samples is None:
+        subsets = math.comb(n - 1, k)
+        table = 8 * min(n, cap // subsets) * subsets * k
+        contrastive._relative_subsets(n - 1, k)  # the cached enumeration outlives a call
+        calls = (lambda: total_loss_exact(batch, k, cap), lambda: loss_and_vectors(batch, k, cap))
+    else:
+        table = 8 * samples * n * k
+        calls = (lambda: total_loss_mc(batch, k, RngState(seed=1), samples),
+                 lambda: loss_and_vectors(batch, k, mode="monte-carlo", mc_samples=samples,
+                                          rng=RngState(seed=1)))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * table
+
+
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
         HyperParams(k=0, eta=0.1, gamma=0.1, T=1)
@@ -212,6 +243,69 @@ def test_hyperparams_validation():
         HyperParams(k=1, eta=-0.1, gamma=0.1, T=1)
     with pytest.raises(ValueError):
         HyperParams(k=1, eta=0.1, gamma=0.1, T=1, mode="bogus")
+
+
+# ---------------------------------------------------------------------------
+# bit-level reference: the per-anchor loop
+
+
+def _per_anchor_reference(batch, subsets_of):
+    """The kernel written one anchor at a time, with the softmax weights
+    scattered by np.add.at.  subsets_of(i) gives anchor i's (S, k) subsets as
+    indices into its n-1 others.  Returns the loss, losstilde, losshat, the
+    pairwise coefficients and the (S, n) table of subset losses."""
+    n, d = batch.queries.shape
+    total, coeff, losstilde, losses = 0.0, np.zeros((n, n)), np.zeros((n, d)), []
+    for i in range(n):
+        subsets = subsets_of(i)
+        others = np.concatenate([np.arange(i), np.arange(i + 1, n)])
+        z = batch.keys[others] - batch.keys[i]
+        a = (z @ batch.queries[i])[subsets]
+        hi = np.maximum(a.max(axis=1), 0.0)
+        lse = hi + np.log(np.exp(-hi) + np.sum(np.exp(a - hi[:, None]), axis=1))
+        c = np.zeros(n - 1)
+        np.add.at(c, subsets.ravel(), np.exp(a - lse[:, None]).ravel())
+        c /= subsets.shape[0]
+        coeff[i, others] = c
+        losstilde[i] = z.T @ c
+        total += float(np.mean(lse))
+        losses.append(lse)
+    losshat = coeff.T @ batch.queries - coeff.sum(axis=1)[:, None] * batch.queries
+    return total / n, losstilde, losshat, coeff, np.stack(losses, axis=1)
+
+
+@pytest.mark.parametrize("seed, n, k, d, cap", [
+    (0, 2, 1, 3, DEFAULT_ENUMERATION_CAP),
+    (1, 5, 4, 2, DEFAULT_ENUMERATION_CAP),  # k = n-1
+    (2, 6, 2, 1, DEFAULT_ENUMERATION_CAP),  # d = 1
+    (3, 9, 3, 4, math.comb(8, 3)),  # one anchor per group
+    (4, 10, 3, 5, 2 * math.comb(9, 3) + 1),  # groups of two
+    (5, 12, 4, 16, DEFAULT_ENUMERATION_CAP),
+])
+def test_kernel_is_bit_identical_to_the_per_anchor_loop(seed, n, k, d, cap):
+    gen = np.random.default_rng(seed)
+    batch = EncodedBatch(queries=4 * gen.standard_normal((n, d)), keys=gen.standard_normal((n, d)),
+                         query_trace=None, key_trace=None)
+    rel = contrastive._relative_subsets(n - 1, k)
+    loss, tilde, hat, coeff, _ = _per_anchor_reference(batch, lambda i: rel)
+    assert total_loss_exact(batch, k, cap) == loss
+    got_loss, lv = loss_and_vectors(batch, k, cap)
+    assert got_loss == loss
+    assert np.array_equal(lv.losstilde, tilde) and np.array_equal(lv.losshat, hat)
+    for i, j in [(0, n - 1), (n - 1, 0), (n // 2, 0)]:
+        if i != j:
+            assert np.array_equal(losshat_pair(batch, i, j, k, cap), coeff[i, j] * batch.queries[i])
+
+    for samples in (2, 3 * DRAW_BLOCK_SAMPLES // 2):
+        rng = RngState(seed=seed)
+        drawn = contrastive._draw_subsets(rng.generator(), samples, n, k)
+        loss, tilde, hat, _, losses = _per_anchor_reference(batch, lambda i: drawn[:, i])
+        got_loss, lv = loss_and_vectors(batch, k, mode="monte-carlo", mc_samples=samples, rng=rng)
+        assert got_loss == loss
+        assert np.array_equal(lv.losstilde, tilde) and np.array_equal(lv.losshat, hat)
+        draws = losses.mean(axis=1)
+        assert total_loss_mc(batch, k, rng, samples) == (
+            float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(samples)))
 
 
 # ---------------------------------------------------------------------------
