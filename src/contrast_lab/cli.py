@@ -221,9 +221,8 @@ def cmd_probe(cfg: ExperimentConfig, out: Path) -> int:
     rows = []
     for name in cfg.probes:
         report = _run_probe(name, cfg, root, data, qp, kp, hp)
-        (out / f"probe_{name}.json").write_text(
-            json.dumps({**_stamp(cfg), "report": json.loads(report.to_json())},
-                       indent=2) + "\n", encoding="utf-8")
+        _write_json(out / f"probe_{name}.json",
+                    {**_stamp(cfg), "report": json.loads(report.to_json())})
         status = {True: "pass", False: "FAIL", None: "inconclusive"}[report.passed]
         any_fail |= report.passed is False
         any_inconclusive |= report.passed is None

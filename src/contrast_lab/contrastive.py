@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import Dataset
-from .encoder import BatchTrace, Params, forward_batch
+from .encoder import BatchTrace, Params, backward_batch, forward_batch, sum_of_squares
 from .errors import EnumerationError, ShapeError
 from .rng import RngState
 
@@ -60,11 +60,11 @@ class LossVectors:
 
     @property
     def tilde_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.losstilde**2)))
+        return math.sqrt(sum_of_squares((self.losstilde,)))
 
     @property
     def hat_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.losshat**2)))
+        return math.sqrt(sum_of_squares((self.losshat,)))
 
     @property
     def total_norm(self) -> float:
@@ -248,15 +248,11 @@ def _param_gradient(p: Params, trace: BatchTrace, xs: np.ndarray, out_grads: np.
     n = xs.shape[0]
     L = p.shape.L
     v = out_grads.T / n  # (d, n)
-    grads = [None] * (L + 1)
-    grads[L] = v @ trace.hidden[L - 1].T
-    g = p.weights[L].T @ v  # (m, n)
-    for l in range(L - 1, -1, -1):
-        pre_grad = np.where(trace.masks[l], g, 0.0)
+    grads = [None] * L + [v @ trace.hidden[L - 1].T]
+    # the gradient reaching layer l's output, for l = L-1 down to 0
+    for l, g in zip(range(L - 1, -1, -1), backward_batch(p, trace.masks, v, L, 1)):
         below = trace.hidden[l - 1] if l > 0 else xs.T
-        grads[l] = pre_grad @ below.T
-        if l > 0:
-            g = p.weights[l].T @ pre_grad
+        grads[l] = np.where(trace.masks[l], g, 0.0) @ below.T
     return Params(shape=p.shape, weights=tuple(grads))
 
 

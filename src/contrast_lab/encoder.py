@@ -11,7 +11,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -59,6 +59,12 @@ class Params:
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
         return math.sqrt(sum_of_squares(a - b for a, b in zip(self.weights, other.weights)))
+
+    def shifted(self, direction: Iterable[np.ndarray], rho: float) -> "Params":
+        """The network with every weight matrix moved by rho times its entry
+        of ``direction``."""
+        return Params(shape=self.shape,
+                      weights=tuple(w + rho * g for w, g in zip(self.weights, direction)))
 
     def to_bytes(self) -> bytes:
         """Binary container: one JSON header line, then raw little-endian
@@ -190,3 +196,15 @@ def backprop_matrix(p: Params, trace: ForwardTrace, l: int) -> np.ndarray:
     for a in range(L - 1, l - 1, -1):
         mat = (mat * trace.masks[a]) @ p.weights[a]
     return mat
+
+
+def backward_batch(p: Params, masks: tuple[np.ndarray, ...], v: np.ndarray,
+                   top: int, bottom: int) -> Iterator[np.ndarray]:
+    """The masked back-propagation chain, one column per sample: yields
+    g = W_top^T v, then g = W_l^T (masks[l] * g) for l = top-1 down to
+    ``bottom``.  Column i of masks[l] is sample i's activation pattern."""
+    g = p.weights[top].T @ v
+    yield g
+    for l in range(top - 1, bottom - 1, -1):
+        g = p.weights[l].T @ np.where(masks[l], g, 0.0)
+        yield g

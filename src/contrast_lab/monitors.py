@@ -3,8 +3,9 @@ supposed to satisfy into a measured ratio, residual, or scaling exponent.
 
 Probes never assume the hidden constants of the bounds they check are 1;
 they fit exponents and report band statistics, and they only declare a
-pass or fail when the fit quality supports it (R^2 >= 0.9), reporting
-"inconclusive" otherwise.
+pass or fail when the fit quality supports it (R^2 >= 0.9 for the
+smoothness and perturbation fits, R^2 >= 0.95 for the gradient-scaling
+fits), reporting "inconclusive" otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from scipy.special import ndtri
 
 from .contrastive import HyperParams, encode_batch, grad_params, total_loss_exact
 from .data import Dataset, min_pairwise_distance
-from .encoder import BatchTrace, Params, Shape, forward_batch, init_params, sum_of_squares
+from .encoder import (BatchTrace, Params, Shape, backward_batch, forward_batch, init_params,
+                      sum_of_squares)
 from .errors import EvaluationError
 from .linalg import power_iteration, spectral_norm
 from .rng import RngState
@@ -106,10 +108,7 @@ def masked_chain_norms(p: Params, trace: BatchTrace, a: int, b: int,
         return x
 
     def chain_t(v: np.ndarray) -> np.ndarray:
-        x = w[b].T @ v
-        for l in range(b - 1, a - 1, -1):
-            x = np.where(trace.masks[l], x, 0.0)
-            x = w[l].T @ x
+        *_, x = backward_batch(p, trace.masks, v, b, a)
         return x
 
     start = RngState(seed=0xC4A1, stream=a * 64 + b).generator()
@@ -121,19 +120,13 @@ def _backward_chain_ratios(p: Params, trace: BatchTrace) -> float:
     ||u^T W_L D_{L-1} ... D_l W_l|| / (sqrt(m/d) ||u||)."""
     L, m, d = p.shape.L, p.shape.m, p.shape.d
     n = trace.outputs.shape[1]
-    gen = RngState(seed=0xBAC2, stream=0).generator()
-    u = gen.standard_normal((d, 8))
-    u_norms = np.linalg.norm(u, axis=0)
-    worst = 0.0
-    scale = math.sqrt(m / d)
-    for i in range(n):
-        v = p.weights[L].T @ u
-        for l in range(L - 1, 0, -1):
-            v = np.where(trace.masks[l][:, i : i + 1], v, 0.0)
-            v = p.weights[l].T @ v
-            ratios = np.linalg.norm(v, axis=0) / (scale * u_norms)
-            worst = max(worst, float(ratios.max()))
-    return worst
+    u = RngState(seed=0xBAC2, stream=0).generator().standard_normal((d, 8))
+    # column 8i + j carries probe j through sample i's masks
+    masks = tuple(np.repeat(mask, 8, axis=1) for mask in trace.masks)
+    chain = backward_batch(p, masks, np.tile(u, n), L, 1)
+    next(chain)  # W_L^T u: the ratio is taken for l >= 1 only
+    bound = math.sqrt(m / d) * np.tile(np.linalg.norm(u, axis=0), n)
+    return max(float((np.linalg.norm(v, axis=0) / bound).max()) for v in chain)
 
 
 def hidden_norm_radius(shape: Shape, n: int) -> float:
@@ -189,8 +182,8 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
                 for b in range(a, L):
                     max_chain = max(max_chain, float(masked_chain_norms(p, trace, a, b).max()))
             backward_worst = max(backward_worst, _backward_chain_ratios(p, trace))
-        else:
-            notes.append("L < 2: no hidden-to-hidden chains to measure")
+    if L < 2:
+        notes.append("L < 2: no hidden-to-hidden chains to measure")
     thresholds = {
         "max_hidden_norm_deviation": epsilon,
         "max_output_norm": 5.0,
@@ -322,13 +315,6 @@ def _unit_frobenius_directions(qp: Params, kp: Params, rng: RngState) -> tuple[l
     return [a / total for a in u], [a / total for a in v]
 
 
-def _shifted(p: Params, direction: list, rho: float) -> Params:
-    return Params(
-        shape=p.shape,
-        weights=tuple(w + rho * g for w, g in zip(p.weights, direction)),
-    )
-
-
 def smoothness_probe(
     qp: Params, kp: Params, data: Dataset, hp: HyperParams,
     rhos: tuple[float, ...], rng: RngState, n_directions: int = 6,
@@ -351,7 +337,7 @@ def smoothness_probe(
         inner = sum(float(np.sum(g * a)) for g, a in zip(base.grad_w.weights, u))
         inner += sum(float(np.sum(g * a)) for g, a in zip(base.grad_theta.weights, v))
         for ri, rho in enumerate(rhos):
-            val = total_loss_exact(encode_batch(_shifted(qp, u, rho), _shifted(kp, v, rho), data),
+            val = total_loss_exact(encode_batch(qp.shifted(u, rho), kp.shifted(v, rho), data),
                                    hp.k, cap=hp.enumeration_cap)
             if not math.isfinite(val):
                 raise EvaluationError(f"perturbed loss non-finite at rho={rho}")
@@ -484,7 +470,7 @@ def perturbation_probe(
         gen = rng.child(f"dir-{di}").generator()
         dirs = [_unit_spectral_direction(gen, w.shape) for w in qp.weights]
         for oi, omega in enumerate(omegas):
-            t = forward_batch(_shifted(qp, dirs, omega), xs)
+            t = forward_batch(qp.shifted(dirs, omega), xs)
             flips[di, oi] = float(np.mean(t.pattern ^ base_pattern))
             out_drift[di, oi] = float(
                 np.max(np.linalg.norm(t.outputs - base.outputs, axis=0))
@@ -511,7 +497,7 @@ def perturbation_probe(
         fits["hidden_drift_vs_omega"] = fit_loglog(omegas_arr[live], mean_hid[live])
     else:
         notes.append("fewer than two positive omegas; all fits skipped")
-    drift_ratio = mean_out[live] / np.where(live, omegas_arr, 1.0)[live]
+    drift_ratio = mean_out[live] / omegas_arr[live]
     thresholds = {
         "flip_slope_lo": 0.8, "flip_slope_hi": 1.2,
         "drift_slope_lo": 0.9, "drift_slope_hi": 1.1,

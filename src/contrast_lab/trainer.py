@@ -97,14 +97,8 @@ def gd_step(
     started = time.perf_counter()
     g = grad_params(qp, kp, data, hp, rng=rng)
     _check_finite(g, t)
-    new_q = Params(
-        shape=qp.shape,
-        weights=tuple(w - hp.eta * gw for w, gw in zip(qp.weights, g.grad_w.weights)),
-    )
-    new_k = Params(
-        shape=kp.shape,
-        weights=tuple(w - hp.gamma * gt for w, gt in zip(kp.weights, g.grad_theta.weights)),
-    )
+    new_q = qp.shifted(g.grad_w.weights, -hp.eta)
+    new_k = kp.shifted(g.grad_theta.weights, -hp.gamma)
     return new_q, new_k, _record(t, g, qp, kp, qp0, kp0, started)
 
 

@@ -7,6 +7,7 @@ from contrast_lab.encoder import (
     Params,
     Shape,
     backprop_matrix,
+    backward_batch,
     forward_batch,
     forward_trace,
     init_params,
@@ -88,6 +89,20 @@ class TestBackpropMatrix:
             above = backprop_matrix(qp, t, l + 1)
             expected = (above * t.masks[l]) @ qp.weights[l]
             assert np.allclose(backprop_matrix(qp, t, l), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_backward_batch_matches_backprop_matrix(L, small_data, gen):
+    # yield L - l is the adjoint chain (WL D_{L-1} ... D_l W_l)^T v, one column per sample
+    p = init_params(RngState(seed=29), Shape(L=L, m=24, d=5, b=small_data.b))
+    v = gen.standard_normal((5, small_data.n))
+    yields = list(backward_batch(p, forward_batch(p, small_data.points).masks, v, L, 0))
+    assert len(yields) == L + 1
+    for i, x in enumerate(small_data.points):
+        t = forward_trace(p, x)
+        for l, g in zip(range(L, -1, -1), yields):
+            want = backprop_matrix(p, t, l).T @ v[:, i]
+            assert np.linalg.norm(g[:, i] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_bytes_round_trip_is_bit_exact(small_nets):

@@ -79,6 +79,37 @@ def test_masked_chain_norms_raise_at_step_cap(setup, monkeypatch):
         masked_chain_norms(qp, trace, 1, 2, tol=1e-9)
 
 
+def _per_sample_backward_ratios(p, trace):
+    """The backward-chain ratio one sample at a time, eight probes per product."""
+    L, m, d = p.shape.L, p.shape.m, p.shape.d
+    u = RngState(seed=0xBAC2, stream=0).generator().standard_normal((d, 8))
+    u_norms = np.linalg.norm(u, axis=0)
+    worst = 0.0
+    for i in range(trace.outputs.shape[1]):
+        v = p.weights[L].T @ u
+        for l in range(L - 1, 0, -1):
+            v = p.weights[l].T @ np.where(trace.masks[l][:, i : i + 1], v, 0.0)
+            worst = max(worst, float((np.linalg.norm(v, axis=0) / (math.sqrt(m / d) * u_norms)).max()))
+    return worst
+
+
+@pytest.mark.parametrize("L, m", [(2, 64), (3, 64), (5, 256)])
+def test_backward_chain_ratios_are_bit_identical_to_the_per_sample_loop(L, m):
+    root = RngState(seed=L)
+    data = generate_separated(root.child("data"), 8, 16, 0.5)
+    p = init_params(root.child("p"), Shape(L=L, m=m, d=8, b=16))
+    trace = forward_batch(p, data.points)
+    assert monitors._backward_chain_ratios(p, trace) == _per_sample_backward_ratios(p, trace)
+
+
+def test_init_probe_notes_a_single_layer_once(setup):
+    _, data, _, _, _ = setup
+    shape = Shape(L=1, m=64, d=8, b=8)
+    qp, kp = (init_params(RngState(seed=5).child(name), shape) for name in ("q", "k"))
+    report = init_probe(qp, kp, data)
+    assert report.notes.count("L < 2: no hidden-to-hidden chains to measure") == 1
+
+
 def test_init_probe_tightens_with_width():
     # hidden-norm concentration must improve with m on matched seeds
     devs = {m: [] for m in (256, 4096)}

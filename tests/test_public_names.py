@@ -1,7 +1,8 @@
 """Every public top-level function and class of the package has a caller:
 code in the package, the benchmark's traced run, or an acceptance test that
-uses it as an independent oracle or measurement.  No module re-opens an array
-for writing once it has been frozen."""
+uses it as an independent oracle or measurement.  The oracles reach none of
+the production paths they certify.  No module re-opens an array for writing
+once it has been frozen."""
 
 import ast
 import functools
@@ -54,6 +55,20 @@ def test_public_name_has_a_caller(module, name):
         and name in _used_names(node)
     ]
     assert callers, f"{module}.{name} is reached only from tests"
+
+
+# The reference paths and the production names they must not reach.
+INDEPENDENT = {"encoder": ("forward_trace", "backprop_matrix"),
+               "oracle": ("fd_gradient", "enumerate_subsets")}
+PRODUCTION = {"forward_batch", "backward_batch", "_param_gradient", "grad_params",
+              "loss_and_vectors"}
+
+
+@pytest.mark.parametrize("module, name", [(m, f) for m, fs in INDEPENDENT.items() for f in fs])
+def test_oracle_shares_no_code_with_what_it_certifies(module, name):
+    (node,) = [n for n in _modules()[module].body
+               if isinstance(n, ast.FunctionDef) and n.name == name]
+    assert not _used_names(node) & PRODUCTION, f"{module}.{name} reaches production code"
 
 
 def test_no_module_reopens_frozen_arrays():
