@@ -161,7 +161,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
     g = grad_params(qp, kp, data, hp)
     fd = fd_gradient(lambda a, b_: total_loss_exact(encode_batch(a, b_, data), small.k), qp, kp)
-    km = kink_mask(qp, kp, data, 1e-4)
+    km = kink_mask(qp, kp, data, DEFAULT_FD_STEP)
     # Absolute floor: a central difference's rounding error.  Each loss value
     # is exact to a few ulps of |loss| (8 allowed, for the forward pass and the
     # mean over subsets), so (L(+h) - L(-h)) / 2h is off by up to 8 eps |loss| / h
@@ -221,8 +221,7 @@ def cmd_probe(cfg: ExperimentConfig, out: Path) -> int:
     rows = []
     for name in cfg.probes:
         report = _run_probe(name, cfg, root, data, qp, kp, hp)
-        _write_json(out / f"probe_{name}.json",
-                    {**_stamp(cfg), "report": json.loads(report.to_json())})
+        _write_json(out / f"probe_{name}.json", {**_stamp(cfg), "report": report.to_jsonable()})
         status = {True: "pass", False: "FAIL", None: "inconclusive"}[report.passed]
         any_fail |= report.passed is False
         any_inconclusive |= report.passed is None

@@ -123,8 +123,9 @@ def _logit_table(batch: EncodedBatch, anchors: np.ndarray) -> tuple[np.ndarray, 
     return others, z, (z @ batch.queries[anchors, :, None])[..., 0]
 
 
-def _subset_losses(a: np.ndarray) -> np.ndarray:
-    """log(1 + sum exp(a)) over the last axis, shifted by the row maximum."""
+def log_partition(a: np.ndarray) -> np.ndarray:
+    """log(1 + sum exp(a)) over the last axis, shifted by the row maximum: the
+    loss of each negative subset from its logits."""
     hi = np.maximum(a.max(axis=-1), 0.0)
     e = a - hi[..., None]
     s = np.exp(e, out=e).sum(axis=-1)
@@ -156,7 +157,7 @@ def _mc_index(rng: RngState, samples: int, n: int, k: int) -> np.ndarray:
 
 
 def total_loss_exact(batch: EncodedBatch, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    means = [_subset_losses(np.take(_logit_table(batch, anchors)[2], flat)).mean(axis=1)
+    means = [log_partition(np.take(_logit_table(batch, anchors)[2], flat)).mean(axis=1)
              for anchors, flat in _exact_groups(batch.n, k, cap)]
     # cumsum adds the anchors' means in order, like the per-anchor reference in
     # the tests; np.sum would pair them
@@ -170,7 +171,7 @@ def total_loss_mc(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     flat = _mc_index(rng, samples, batch.n, k)
-    draws = _subset_losses(np.take(_logit_table(batch, np.arange(batch.n))[2], flat)).mean(axis=1)
+    draws = log_partition(np.take(_logit_table(batch, np.arange(batch.n))[2], flat)).mean(axis=1)
     return float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(samples))
 
 
@@ -185,7 +186,7 @@ def _coefficient_table(batch: EncodedBatch, groups) -> tuple[float, np.ndarray, 
     for anchors, flat in groups:
         others, z, logits = _logit_table(batch, anchors)
         a = np.take(logits, flat)
-        losses = _subset_losses(a)
+        losses = log_partition(a)
         means.append(losses.mean(axis=1))
         a -= losses[..., None]
         np.exp(a, out=a)  # the softmax weight of each subset member

@@ -2,10 +2,11 @@
 supposed to satisfy into a measured ratio, residual, or scaling exponent.
 
 Probes never assume the hidden constants of the bounds they check are 1;
-they fit exponents and report band statistics, and they only declare a
-pass or fail when the fit quality supports it (R^2 >= 0.9 for the
-smoothness and perturbation fits, R^2 >= 0.95 for the gradient-scaling
-fits), reporting "inconclusive" otherwise.
+they fit exponents and report band statistics.  Every fitted probe takes
+its verdict from ``_verdict``: a pass or fail needs three distinct positive
+sweep points (a line fits two exactly) and fits that clear their R^2 gate
+(``GRADIENT_R2_GATE`` for gradient scaling, else ``R2_GATE``); otherwise the
+probe reports "inconclusive".
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .contrastive import HyperParams, encode_batch, grad_params, total_loss_exact
+from .contrastive import HyperParams, encode_batch, grad_params, log_partition, total_loss_exact
 from .data import Dataset, min_pairwise_distance
 from .encoder import (BatchTrace, Params, Shape, backward_batch, forward_batch, init_params,
                       sum_of_squares)
@@ -26,7 +27,15 @@ from .linalg import power_iteration, spectral_norm
 from .rng import RngState
 from .trainer import TrainTrace
 
+# R^2 gates and [lo, hi] slope bands of the fitted probes, and the draws of
+# ``ce_smoothness_check``: k in [1, CE_MAX_K], coordinates in [-CE_SCALE, CE_SCALE].
 R2_GATE = 0.9
+GRADIENT_R2_GATE = 0.95
+GRADIENT_SLOPE_BAND = (0.85, 1.15)
+SMOOTHNESS_EXPONENT_BAND = (1.25, math.inf)
+FLIP_SLOPE_BAND = (0.8, 1.2)
+DRIFT_SLOPE_BAND = (0.9, 1.1)
+CE_MAX_K, CE_SCALE, CE_TOL = 16, 10.0, 1e-12
 
 # Chance that a correct He initialization fails the hidden-norm clause of
 # ``init_probe`` at its derived radius (see ``hidden_norm_radius``).
@@ -70,8 +79,8 @@ class ProbeReport:
     passed: bool | None = None
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> str:
-        payload = {
+    def to_jsonable(self) -> dict:
+        return {
             "name": self.name,
             "statement": self.statement,
             "config": self.config,
@@ -81,7 +90,23 @@ class ProbeReport:
             "passed": self.passed,
             "notes": list(self.notes),
         }
-        return json.dumps(payload, indent=2, sort_keys=False)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_jsonable(), indent=2, sort_keys=False)
+
+
+def _verdict(xs, fits: dict[str, FitResult], bands: dict[str, tuple[float, float]],
+             r2_min: float, points: str) -> tuple[bool | None, tuple[str, ...]]:
+    """(verdict, notes) of a fitted probe: None unless the sweep ``xs`` has
+    three distinct positive points (a line fits two exactly) and every fit
+    named in ``bands`` exists with R^2 >= r2_min, else whether each of those
+    fits' slope lies in its [lo, hi] band."""
+    if len({x for x in xs if x > 0}) < 3:
+        return None, (f"fewer than three distinct {points}: no verdict",)
+    banded = [fits.get(name) for name in bands]
+    if any(f is None or not f.r2 >= r2_min for f in banded):
+        return None, ()
+    return all(lo <= f.slope <= hi for f, (lo, hi) in zip(banded, bands.values())), ()
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +172,25 @@ def hidden_norm_radius(shape: Shape, n: int) -> float:
     return math.expm1(z * math.sqrt(5 * shape.L / (4 * shape.m)))
 
 
-def init_probe(qp: Params, kp: Params, data: Dataset,
-               epsilon: float | None = None) -> ProbeReport:
+def init_probe(qp: Params, kp: Params, data: Dataset) -> ProbeReport:
     """Geometry of a fresh initialization: hidden norms near 1, bounded
     outputs, preserved pairwise separation, and bounded masked weight chains.
 
-    ``epsilon`` is the radius of |log ||h||| <= log(1 + epsilon), by default
+    Hidden norms must satisfy |log ||h||| <= log(1 + epsilon) with epsilon =
     ``hidden_norm_radius``; the reported deviation is exp(max |log ||h|||) - 1.
+    At L = 1 there are no hidden-to-hidden chains, and their scalars are None.
     """
     shape = qp.shape
     L = shape.L
     xs = data.points
-    notes: list[str] = []
-    if epsilon is None:
-        epsilon = hidden_norm_radius(shape, data.n)
-        notes.append(
-            "hidden-norm radius exp(z sqrt(5L/(4m))) - 1 with "
-            f"z = Phi^-1(1 - p/(4nL)), p = {HIDDEN_NORM_FALSE_FAILURE_P:g}")
+    epsilon = hidden_norm_radius(shape, data.n)
+    notes = ["hidden-norm radius exp(z sqrt(5L/(4m))) - 1 with "
+             f"z = Phi^-1(1 - p/(4nL)), p = {HIDDEN_NORM_FALSE_FAILURE_P:g}"]
+    chained = L >= 2
     max_log_dev = 0.0
     max_out = 0.0
     min_sep_ratio = math.inf
-    max_chain = 0.0
-    backward_worst = 0.0
+    max_chain = backward_worst = 0.0 if chained else None
     for p in (qp, kp):
         trace = forward_batch(p, xs)
         for h in trace.hidden:
@@ -177,12 +199,12 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
             max_log_dev = max(max_log_dev, float(np.max(np.abs(log_norms))))
             min_sep_ratio = min(min_sep_ratio, min_pairwise_distance(h.T) / data.delta)
         max_out = max(max_out, float(np.max(np.linalg.norm(trace.outputs, axis=0))))
-        if L >= 2:
+        if chained:
             for a in range(1, L):
                 for b in range(a, L):
                     max_chain = max(max_chain, float(masked_chain_norms(p, trace, a, b).max()))
             backward_worst = max(backward_worst, _backward_chain_ratios(p, trace))
-    if L < 2:
+    if not chained:
         notes.append("L < 2: no hidden-to-hidden chains to measure")
     thresholds = {
         "max_hidden_norm_deviation": epsilon,
@@ -195,14 +217,14 @@ def init_probe(qp: Params, kp: Params, data: Dataset,
         "max_output_norm": max_out,
         "min_separation_over_delta": min_sep_ratio,
         "max_chain_norm": max_chain,
-        "max_chain_over_sqrtL": max_chain / math.sqrt(L),
+        "max_chain_over_sqrtL": max_chain / math.sqrt(L) if chained else None,
         "backward_chain_ratio": backward_worst,
     }
     passed = (
         max_log_dev <= math.log1p(epsilon)
         and max_out <= thresholds["max_output_norm"]
         and min_sep_ratio >= thresholds["min_separation_over_delta"]
-        and (L < 2 or scalars["max_chain_over_sqrtL"] <= thresholds["max_chain_over_sqrtL"])
+        and (not chained or scalars["max_chain_over_sqrtL"] <= thresholds["max_chain_over_sqrtL"])
     )
     return ProbeReport(
         name="init",
@@ -260,7 +282,6 @@ def gradient_bound_probe(
     ||grad||_F^2 = Theta(m / d) * (per-sample loss-vector energy), so the
     log-log slope in m should be 1; the normalized ratio
     r = ||grad||^2 n d / (m * sum ||loss vec||^2) should sit in a stable band.
-    A line fits two widths exactly (R^2 = 1), so fewer than three give no verdict.
     """
     n = data.n
     gw2, gt2, rw, rt = [], [], [], []
@@ -272,21 +293,16 @@ def gradient_bound_probe(
         rw.append(w2 * n * d / (m * lt2) if lt2 > 0 else math.nan)
         rt.append(t2 * n * d / (m * lh2) if lh2 > 0 else math.nan)
     ms_arr = np.asarray(ms, dtype=np.float64)
-    fit_w = fit_loglog(ms_arr, np.asarray(gw2))
-    fit_t = fit_loglog(ms_arr, np.asarray(gt2))
+    fits = {"grad_w_sq_vs_m": fit_loglog(ms_arr, np.asarray(gw2)),
+            "grad_theta_sq_vs_m": fit_loglog(ms_arr, np.asarray(gt2))}
+    passed, notes = _verdict(ms, fits, dict.fromkeys(fits, GRADIENT_SLOPE_BAND),
+                             GRADIENT_R2_GATE, "widths")
     rw_arr, rt_arr = np.asarray(rw), np.asarray(rt)
     scalars = {
         "r_w_min": float(np.nanmin(rw_arr)), "r_w_max": float(np.nanmax(rw_arr)),
         "r_theta_min": float(np.nanmin(rt_arr)), "r_theta_max": float(np.nanmax(rt_arr)),
         "grad_w_sq": gw2, "grad_theta_sq": gt2,
     }
-    thresholds = {"slope_lo": 0.85, "slope_hi": 1.15, "r2_min": 0.95}
-    widths_ok = len(set(ms)) >= 3
-    conclusive = (widths_ok and fit_w.r2 >= thresholds["r2_min"]
-                  and fit_t.r2 >= thresholds["r2_min"])
-    in_band = all(
-        thresholds["slope_lo"] <= f.slope <= thresholds["slope_hi"] for f in (fit_w, fit_t)
-    )
     return ProbeReport(
         name="gradient-scaling",
         statement=(
@@ -296,10 +312,11 @@ def gradient_bound_probe(
         ),
         config={"ms": list(ms), "L": L, "d": d, "n": n, "k": hp.k},
         scalars=scalars,
-        fits={"grad_w_sq_vs_m": fit_w, "grad_theta_sq_vs_m": fit_t},
-        thresholds=thresholds,
-        passed=in_band if conclusive else None,
-        notes=() if widths_ok else ("fewer than three distinct widths: no verdict",),
+        fits=fits,
+        thresholds={"slope_lo": GRADIENT_SLOPE_BAND[0], "slope_hi": GRADIENT_SLOPE_BAND[1],
+                    "r2_min": GRADIENT_R2_GATE},
+        passed=passed,
+        notes=notes,
     )
 
 
@@ -345,15 +362,15 @@ def smoothness_probe(
     mean_abs = np.abs(residuals).mean(axis=0)
     rho_arr = np.asarray(rhos)
     fittable = rho_arr > 0
-    fit = fit_loglog(rho_arr[fittable], mean_abs[fittable])
+    fits = {"abs_residual_vs_rho": fit_loglog(rho_arr[fittable], mean_abs[fittable])}
+    passed, notes = _verdict(rhos, fits, dict.fromkeys(fits, SMOOTHNESS_EXPONENT_BAND),
+                             R2_GATE, "positive rhos")
     # residual magnitude relative to the two structural error scales
     m, d, n = qp.shape.m, qp.shape.d, data.n
     first_order_scale = rho_arr[fittable] ** (4 / 3) * math.sqrt(
         m * math.log(m) / (n * d)
     ) * base.loss_vectors.total_norm
     second_order_scale = rho_arr[fittable] ** 2 * hp.k * qp.shape.L**2 * m**2 / d**2
-    thresholds = {"exponent_min": 1.25, "r2_min": R2_GATE}
-    conclusive = fit.r2 >= thresholds["r2_min"]
     return ProbeReport(
         name="smoothness",
         statement=(
@@ -371,9 +388,10 @@ def smoothness_probe(
             "residual_over_second_order_scale": (
                 mean_abs[fittable] / second_order_scale).tolist(),
         },
-        fits={"abs_residual_vs_rho": fit},
-        thresholds=thresholds,
-        passed=(fit.slope >= thresholds["exponent_min"]) if conclusive else None,
+        fits=fits,
+        thresholds={"exponent_min": SMOOTHNESS_EXPONENT_BAND[0], "r2_min": R2_GATE},
+        passed=passed,
+        notes=notes,
     )
 
 
@@ -495,14 +513,9 @@ def perturbation_probe(
             notes.append("zero flips at small omega; flip fit skipped")
         fits["output_drift_vs_omega"] = fit_loglog(omegas_arr[live], mean_out[live])
         fits["hidden_drift_vs_omega"] = fit_loglog(omegas_arr[live], mean_hid[live])
-    else:
-        notes.append("fewer than two positive omegas; all fits skipped")
+    bands = {"flip_fraction_vs_omega": FLIP_SLOPE_BAND, "output_drift_vs_omega": DRIFT_SLOPE_BAND}
+    passed, verdict_notes = _verdict(omegas, fits, bands, R2_GATE, "positive omegas")
     drift_ratio = mean_out[live] / omegas_arr[live]
-    thresholds = {
-        "flip_slope_lo": 0.8, "flip_slope_hi": 1.2,
-        "drift_slope_lo": 0.9, "drift_slope_hi": 1.1,
-        "r2_min": R2_GATE,
-    }
     scalars = {
         "mean_flip_fractions": mean_flips.tolist(),
         "mean_output_drifts": mean_out.tolist(),
@@ -511,18 +524,6 @@ def perturbation_probe(
             float(drift_ratio.max() / drift_ratio.min())
             if drift_ratio.size else math.nan),
     }
-    passed: bool | None
-    if "flip_fraction_vs_omega" not in fits:
-        passed = None
-    else:
-        ff, fo = fits["flip_fraction_vs_omega"], fits["output_drift_vs_omega"]
-        if ff.r2 < R2_GATE or fo.r2 < R2_GATE:
-            passed = None
-        else:
-            passed = (
-                thresholds["flip_slope_lo"] <= ff.slope <= thresholds["flip_slope_hi"]
-                and thresholds["drift_slope_lo"] <= fo.slope <= thresholds["drift_slope_hi"]
-            )
     return ProbeReport(
         name="perturbation",
         statement=(
@@ -536,9 +537,11 @@ def perturbation_probe(
                 "n": data.n},
         scalars=scalars,
         fits=fits,
-        thresholds=thresholds,
+        thresholds={"flip_slope_lo": FLIP_SLOPE_BAND[0], "flip_slope_hi": FLIP_SLOPE_BAND[1],
+                    "drift_slope_lo": DRIFT_SLOPE_BAND[0], "drift_slope_hi": DRIFT_SLOPE_BAND[1],
+                    "r2_min": R2_GATE},
         passed=passed,
-        notes=tuple(notes),
+        notes=tuple(notes) + verdict_notes,
     )
 
 
@@ -546,39 +549,33 @@ def perturbation_probe(
 # cross-entropy smoothness
 
 
-def _log_partition(ys: np.ndarray) -> np.ndarray:
-    """g(y) = log(1 + sum_i exp(y_i)) of each row."""
-    return np.logaddexp.reduce(np.concatenate([np.zeros((len(ys), 1)), ys], axis=1), axis=1)
-
-
 def _quadratic_bound_excess(ys: np.ndarray, yps: np.ndarray) -> np.ndarray:
     """g(y + y') - g(y) - grad g(y) . y' - ||y'||^2 / 2 of each row."""
-    g0 = _log_partition(ys)
+    g0 = log_partition(ys)
     grad = np.exp(ys - g0[:, None])
-    return _log_partition(ys + yps) - g0 - np.sum(grad * yps, axis=1) - 0.5 * np.sum(yps**2, axis=1)
+    return log_partition(ys + yps) - g0 - np.sum(grad * yps, axis=1) - 0.5 * np.sum(yps**2, axis=1)
 
 
-def ce_smoothness_check(rng: RngState, trials: int, max_k: int = 16,
-                        scale: float = 10.0, tol: float = 1e-12) -> ProbeReport:
+def ce_smoothness_check(rng: RngState, trials: int) -> ProbeReport:
     """Second-order upper bound on the softmax log-partition:
     g(y + y') <= g(y) + grad g(y) . y' + ||y'||^2 / 2, checked on random
-    pairs plus one step along the gradient itself."""
+    pairs plus one step along the gradient itself; g is the loss's ``log_partition``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     gen = rng.generator()
     excesses = []
     done = 0
     while done < trials:
-        k = int(gen.integers(1, max_k + 1))
+        k = int(gen.integers(1, CE_MAX_K + 1))
         batch = min(trials - done, 4096)
-        ys = gen.uniform(-scale, scale, size=(batch, k))
-        excesses.append(_quadratic_bound_excess(ys, gen.uniform(-scale, scale, size=(batch, k))))
+        ys, yps = (gen.uniform(-CE_SCALE, CE_SCALE, size=(batch, k)) for _ in range(2))
+        excesses.append(_quadratic_bound_excess(ys, yps))
         done += batch
     # adversarial spot check: step along the gradient itself
-    y = gen.uniform(-scale, scale, size=(1, 8))
-    excesses.append(_quadratic_bound_excess(y, np.exp(y - _log_partition(y)[:, None])))
+    y = gen.uniform(-CE_SCALE, CE_SCALE, size=(1, 8))
+    excesses.append(_quadratic_bound_excess(y, np.exp(y - log_partition(y)[:, None])))
     excess = np.concatenate(excesses)
-    violations = int(np.sum(excess > tol))
+    violations = int(np.sum(excess > CE_TOL))
     worst = float(excess.max())
     return ProbeReport(
         name="ce-smoothness",
@@ -586,8 +583,8 @@ def ce_smoothness_check(rng: RngState, trials: int, max_k: int = 16,
             "the softmax log-partition g(y) = log(1 + sum exp(y_i)) satisfies "
             "the quadratic upper bound of a 1-Lipschitz-smooth function"
         ),
-        config={"trials": trials, "max_k": max_k, "scale": scale},
+        config={"trials": trials, "max_k": CE_MAX_K, "scale": CE_SCALE},
         scalars={"violations": violations, "max_excess": worst},
-        thresholds={"tol": tol},
+        thresholds={"tol": CE_TOL},
         passed=violations == 0,
     )

@@ -303,8 +303,9 @@ def test_criterion_09_perturbation_laws():
 
 
 def test_criterion_10_softmax_log_partition_smoothness():
-    rep = ce_smoothness_check(RngState(seed=1), trials=100_000,
-                              max_k=16, scale=10.0, tol=1e-12)
+    rep = ce_smoothness_check(RngState(seed=1), trials=100_000)
+    assert rep.config["max_k"] == 16 and rep.config["scale"] == 10.0
+    assert rep.thresholds == {"tol": 1e-12}
     ok = rep.scalars["violations"] == 0
     assert _report(
         "criterion 10 (softmax log-partition quadratic upper bound)", ok,

@@ -53,6 +53,7 @@ def test_probe_report_serializes_stably(setup):
     root, data, qp, kp, _ = setup
     report = init_probe(qp, kp, data)
     payload = json.loads(report.to_json())
+    assert payload == report.to_jsonable()
     assert list(payload) == ["name", "statement", "config", "scalars",
                              "fits", "thresholds", "passed", "notes"]
     assert report.to_json() == init_probe(qp, kp, data).to_json()
@@ -108,6 +109,9 @@ def test_init_probe_notes_a_single_layer_once(setup):
     qp, kp = (init_params(RngState(seed=5).child(name), shape) for name in ("q", "k"))
     report = init_probe(qp, kp, data)
     assert report.notes.count("L < 2: no hidden-to-hidden chains to measure") == 1
+    # nothing was measured, so nothing reads as a measured zero
+    for key in ("max_chain_norm", "max_chain_over_sqrtL", "backward_chain_ratio"):
+        assert report.scalars[key] is None
 
 
 def test_init_probe_tightens_with_width():
@@ -140,12 +144,10 @@ class TestHiddenNormRadius:
             r4 = hidden_norm_radius(Shape(L=L, m=4096, d=8, b=8), n)
             assert math.log1p(r4) / math.log1p(r1) == pytest.approx(0.5, rel=1e-12)
 
-    def test_init_probe_uses_it_unless_overridden(self, setup):
+    def test_init_probe_uses_it(self, setup):
         _, data, qp, kp, _ = setup
         derived = init_probe(qp, kp, data).thresholds["max_hidden_norm_deviation"]
         assert derived == hidden_norm_radius(qp.shape, data.points.shape[0])
-        explicit = init_probe(qp, kp, data, epsilon=0.05)
-        assert explicit.thresholds["max_hidden_norm_deviation"] == 0.05
 
 
 def _he_variance_scaled(p: Params, factor: float) -> Params:
@@ -260,6 +262,22 @@ class TestSmoothnessProbe:
         monkeypatch.setattr(monitors, "total_loss_exact", spy)
         smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3), root.child("sp"), n_directions=1)
         assert caps == [hp.enumeration_cap] * 2
+
+
+@pytest.mark.parametrize("probe", ["smoothness", "perturbation"])
+def test_two_point_sweep_gives_no_verdict(setup, probe):
+    # a line through two points has R^2 = 1, so its slope alone decides nothing
+    root, data, qp, kp, hp = setup
+    if probe == "smoothness":
+        report = smoothness_probe(qp, kp, data, hp, (1e-3, 1e-2), root.child("two"),
+                                  n_directions=2)
+        points = "positive rhos"
+    else:
+        report = perturbation_probe(qp, data, (0.05, 0.1), root.child("two"), n_directions=2)
+        points = "positive omegas"
+    assert all(f.r2 == pytest.approx(1.0) for f in report.fits.values())
+    assert report.passed is None
+    assert f"fewer than three distinct {points}: no verdict" in report.notes
 
 
 def test_descent_check_on_converging_run(setup):
