@@ -4,12 +4,12 @@ Commands
 --------
 train   : run gradient descent on a fresh initialization, write trace + params
 verify  : run the oracle-equivalence checks at reduced scale
-probe   : run the selected measurement probes, write one JSON report each
-sweep   : repeat the gradient-scaling measurement across an m-grid
+probe   : run the selected measurement probes, write one JSON report each;
+          --m-grid sets the hidden widths of the gradient-scaling probe
 
 Exit codes: 0 every selected check passed; 1 a check failed or an error
-occurred; 3 at least one probe was inconclusive (fit quality below the R^2
-gate) and none failed.
+occurred; 3 at least one probe was inconclusive (fewer than three distinct
+sweep points, or a fit below its R^2 gate) and none failed.
 
 All artifacts embed the full config and the package version; re-running a
 command with an identical config and seed reproduces every artifact byte for
@@ -36,9 +36,7 @@ from .encoder import Params, Shape, init_params
 from .errors import ConfigError, ContrastLabError
 from .monitors import (
     ce_smoothness_check,
-    fit_loglog,
     gradient_bound_probe,
-    gradient_rows,
     init_probe,
     perturbation_probe,
     smoothness_probe,
@@ -194,13 +192,12 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_PASS if all(results.values()) else EXIT_FAIL
 
 
-def _run_probe(name: str, cfg: ExperimentConfig, root: RngState,
+def _run_probe(name: str, cfg: ExperimentConfig, m_grid: tuple[int, ...], root: RngState,
                data: Dataset, qp: Params, kp: Params, hp: HyperParams):
     if name == "init":
         return init_probe(qp, kp, data)
     if name == "gradient":
-        ms = tuple(sorted({max(64, cfg.m // 4), cfg.m, cfg.m * 2}))
-        return gradient_bound_probe(data, hp, ms, cfg.L, cfg.d, root.child("grad-probe"))
+        return gradient_bound_probe(data, hp, m_grid, cfg.L, cfg.d, root.child("grad-probe"))
     if name == "smoothness":
         rhos = tuple(float(x) for x in np.geomspace(1e-4, 1e-2, 7))
         return smoothness_probe(qp, kp, data, hp, rhos, root.child("smooth-probe"))
@@ -212,15 +209,28 @@ def _run_probe(name: str, cfg: ExperimentConfig, root: RngState,
     raise ContrastLabError(f"unknown probe {name!r}")
 
 
-def cmd_probe(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_probe(cfg: ExperimentConfig, out: Path, m_grid: tuple[int, ...] | None = None) -> int:
+    """Run the selected probes.  The gradient probe fits the widths ``m_grid``,
+    by default {max(64, m/4), m, 2m}; every width passes the config's checks
+    before any net is drawn."""
     if not cfg.probes:
         raise ConfigError("probe needs at least one probe name")
+    if "gradient" in cfg.probes:
+        m_grid = m_grid or tuple(sorted({max(64, cfg.m // 4), cfg.m, cfg.m * 2}))
+        for m in m_grid:
+            try:
+                dataclasses.replace(cfg, m=m).validate()
+            except ConfigError as err:
+                raise ConfigError(f"gradient probe width {m}: {err}") from None
+    elif m_grid is not None:
+        raise ConfigError("--m-grid sets the widths of the gradient probe, "
+                          "which is not among the selected probes")
     root, data, qp, kp, hp = _setup(cfg)
     out.mkdir(parents=True, exist_ok=True)
     any_fail = any_inconclusive = False
     rows = []
     for name in cfg.probes:
-        report = _run_probe(name, cfg, root, data, qp, kp, hp)
+        report = _run_probe(name, cfg, m_grid, root, data, qp, kp, hp)
         _write_json(out / f"probe_{name}.json", {**_stamp(cfg), "report": report.to_jsonable()})
         status = {True: "pass", False: "FAIL", None: "inconclusive"}[report.passed]
         any_fail |= report.passed is False
@@ -232,33 +242,6 @@ def cmd_probe(cfg: ExperimentConfig, out: Path) -> int:
     if any_fail:
         return EXIT_FAIL
     return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_PASS
-
-
-def cmd_sweep(cfg: ExperimentConfig, out: Path, m_grid: tuple[int, ...]) -> int:
-    root = RngState(seed=cfg.seed)
-    data = generate_separated(root.child("data"), cfg.n, cfg.b, cfg.delta_min)
-    hp = _hyperparams(cfg, data.delta)
-    rows = gradient_rows(data, hp, m_grid, cfg.L, cfg.d, root)
-    ms = np.asarray([r["m"] for r in rows], dtype=np.float64)
-    fit_w = fit_loglog(ms, np.asarray([r["grad_w_sq"] for r in rows]))
-    fit_t = fit_loglog(ms, np.asarray([r["grad_theta_sq"] for r in rows]))
-    out.mkdir(parents=True, exist_ok=True)
-    header = "m,loss,grad_w_sq,grad_theta_sq,losstilde_norm,losshat_norm"
-    lines = [header] + [
-        ",".join([str(r["m"])] + [_fmt(r[c]) for c in header.split(",")[1:]])
-        for r in rows
-    ]
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(out / "sweep.json", {
-        **_stamp(cfg), "m_grid": list(m_grid), "rows": rows,
-        "fit_grad_w": fit_w.to_jsonable(), "fit_grad_theta": fit_t.to_jsonable(),
-    })
-    for r in rows:
-        print(f"sweep: m={r['m']:<6} grad_w_sq={r['grad_w_sq']:.6g} "
-              f"grad_theta_sq={r['grad_theta_sq']:.6g}")
-    print(f"sweep: slope grad_w {fit_w.slope:.3f} (R2={fit_w.r2:.4f}), "
-          f"grad_theta {fit_t.slope:.3f} (R2={fit_t.r2:.4f})")
-    return EXIT_PASS
 
 
 def _parse_m_grid(text: str) -> tuple[int, ...]:
@@ -276,10 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="contrast-lab",
         description="Numerical laboratory for two-encoder contrastive training "
                     "with exact negative-sampling expectations.",
-        epilog="Exit codes: 0 pass, 1 failure, 3 inconclusive probe fits.",
+        epilog="Exit codes: 0 pass, 1 failure, 3 an inconclusive probe (fewer than three "
+               "distinct sweep points, or a fit below its R^2 gate) and none failed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "verify", "probe", "sweep"):
+    for name in ("train", "verify", "probe"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
@@ -287,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "probe":
             p.add_argument("--probes", default=None,
                            help="comma-separated probe names (overrides config)")
-        if name == "sweep":
-            p.add_argument("--m-grid", default="256,1024,4096",
-                           help="comma-separated hidden widths")
+            p.add_argument("--m-grid", default=None,
+                           help="comma-separated hidden widths of the gradient probe "
+                                "(default: max(64, m/4), m, 2m)")
     return parser
 
 
@@ -299,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if getattr(args, "probes", None):
+        if getattr(args, "probes", None) is not None:
             cfg.probes = tuple(args.probes.split(","))
         cfg.validate()
         if args.out is not None and "\0" in args.out:  # validate checks out_dir
@@ -309,9 +293,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(cfg, out)
         if args.command == "verify":
             return cmd_verify(cfg, out)
-        if args.command == "probe":
-            return cmd_probe(cfg, out)
-        return cmd_sweep(cfg, out, _parse_m_grid(args.m_grid))
+        return cmd_probe(cfg, out, None if args.m_grid is None else _parse_m_grid(args.m_grid))
     except (ContrastLabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL

@@ -247,32 +247,6 @@ def init_probe(qp: Params, kp: Params, data: Dataset) -> ProbeReport:
 # gradient norm scaling
 
 
-def gradient_rows(
-    data: Dataset, hp: HyperParams, ms: tuple[int, ...],
-    L: int, d: int, rng: RngState,
-) -> list[dict]:
-    """One row per width m: the loss, the squared gradient Frobenius norms of
-    both encoders and the loss-vector norms, at a fresh pair of nets drawn
-    from ``rng``'s ``w-{m}`` and ``theta-{m}`` streams.
-    """
-
-    def one(m: int) -> dict:
-        shape = Shape(L=L, m=m, d=d, b=data.b)
-        qp = init_params(rng.child(f"w-{m}"), shape)
-        kp = init_params(rng.child(f"theta-{m}"), shape)
-        g = grad_params(qp, kp, data, hp)
-        return {
-            "m": m,
-            "loss": g.loss,
-            "grad_w_sq": sum_of_squares(g.grad_w.weights),
-            "grad_theta_sq": sum_of_squares(g.grad_theta.weights),
-            "losstilde_norm": g.loss_vectors.tilde_norm,
-            "losshat_norm": g.loss_vectors.hat_norm,
-        }
-
-    return [one(m) for m in ms]
-
-
 def gradient_bound_probe(
     data: Dataset, hp: HyperParams, ms: tuple[int, ...],
     L: int, d: int, rng: RngState,
@@ -282,16 +256,22 @@ def gradient_bound_probe(
     ||grad||_F^2 = Theta(m / d) * (per-sample loss-vector energy), so the
     log-log slope in m should be 1; the normalized ratio
     r = ||grad||^2 n d / (m * sum ||loss vec||^2) should sit in a stable band.
+    Each width gets a fresh pair of nets from ``rng``'s ``w-{m}`` and
+    ``theta-{m}`` streams; the scalars also list each width's loss and
+    loss-vector norms.
     """
     n = data.n
-    gw2, gt2, rw, rt = [], [], [], []
-    for row in gradient_rows(data, hp, ms, L, d, rng):
-        m, w2, t2 = row["m"], row["grad_w_sq"], row["grad_theta_sq"]
-        lt2, lh2 = row["losstilde_norm"]**2, row["losshat_norm"]**2
-        gw2.append(w2)
-        gt2.append(t2)
-        rw.append(w2 * n * d / (m * lt2) if lt2 > 0 else math.nan)
-        rt.append(t2 * n * d / (m * lh2) if lh2 > 0 else math.nan)
+    rows = []
+    for m in ms:
+        shape = Shape(L=L, m=m, d=d, b=data.b)
+        g = grad_params(init_params(rng.child(f"w-{m}"), shape),
+                        init_params(rng.child(f"theta-{m}"), shape), data, hp)
+        rows.append((g.loss, sum_of_squares(g.grad_w.weights), sum_of_squares(g.grad_theta.weights),
+                     g.loss_vectors.tilde_norm, g.loss_vectors.hat_norm))
+        del g  # width m's gradients go before the next width's nets are drawn
+    loss, gw2, gt2, tilde, hat = (list(col) for col in zip(*rows))
+    rw = [w2 * n * d / (m * t**2) if t**2 > 0 else math.nan for m, w2, t in zip(ms, gw2, tilde)]
+    rt = [t2 * n * d / (m * h**2) if h**2 > 0 else math.nan for m, t2, h in zip(ms, gt2, hat)]
     ms_arr = np.asarray(ms, dtype=np.float64)
     fits = {"grad_w_sq_vs_m": fit_loglog(ms_arr, np.asarray(gw2)),
             "grad_theta_sq_vs_m": fit_loglog(ms_arr, np.asarray(gt2))}
@@ -302,6 +282,7 @@ def gradient_bound_probe(
         "r_w_min": float(np.nanmin(rw_arr)), "r_w_max": float(np.nanmax(rw_arr)),
         "r_theta_min": float(np.nanmin(rt_arr)), "r_theta_max": float(np.nanmax(rt_arr)),
         "grad_w_sq": gw2, "grad_theta_sq": gt2,
+        "loss": loss, "losstilde_norm": tilde, "losshat_norm": hat,
     }
     return ProbeReport(
         name="gradient-scaling",

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from contrast_lab import Shape, generate_separated, init_params
-from contrast_lab.cli import EXIT_PASS, main
+from contrast_lab.cli import EXIT_INCONCLUSIVE, EXIT_PASS, main
 from contrast_lab.contrastive import (
     EncodedBatch,
     HyperParams,
@@ -320,24 +320,26 @@ def test_criterion_11_artifact_determinism(tmp_path):
         "seed": 1, "T": 20, "eta": 0.0625, "gamma": 0.0625,
     }))
     pairs = []
-    for command, extra, files in (
-        ("train", [], ["trace.csv", "plot_data.csv", "summary.json",
-                       "params_query.bin", "params_key.bin"]),
-        ("sweep", ["--m-grid", "32,64"], ["sweep.csv", "sweep.json"]),
-        ("probe", ["--probes", "ce"], ["probe_ce.json"]),
+    # two widths give no gradient verdict, so that run exits inconclusive
+    for label, argv, expected, files in (
+        ("train", ["train"], EXIT_PASS, ["trace.csv", "plot_data.csv", "summary.json",
+                                         "params_query.bin", "params_key.bin"]),
+        ("gradient", ["probe", "--probes", "gradient", "--m-grid", "32,64"],
+         EXIT_INCONCLUSIVE, ["probe_gradient.json"]),
+        ("ce", ["probe", "--probes", "ce"], EXIT_PASS, ["probe_ce.json"]),
     ):
         for run in ("a", "b"):
-            out = tmp_path / f"{command}-{run}"
-            code = main([command, "--config", str(cfg_path),
-                         "--out", str(out)] + extra)
-            assert code == EXIT_PASS
+            out = tmp_path / f"{label}-{run}"
+            code = main(argv[:1] + ["--config", str(cfg_path),
+                                    "--out", str(out)] + argv[1:])
+            assert code == expected
         pairs.extend(
-            (tmp_path / f"{command}-a" / f, tmp_path / f"{command}-b" / f)
+            (tmp_path / f"{label}-a" / f, tmp_path / f"{label}-b" / f)
             for f in files
         )
     mismatched = [a.name for a, b in pairs if a.read_bytes() != b.read_bytes()]
     ok = not mismatched
     assert _report(
         "criterion 11 (byte-identical artifacts on re-run)", ok,
-        f"{len(pairs)} artifact files compared across train/sweep/probe, "
+        f"{len(pairs)} artifact files compared across train/probe, "
         f"mismatches: {mismatched or 'none'}")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -11,23 +12,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contrast_lab import cli, config, contrastive
 from contrast_lab.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     TRACE_HEADER,
+    build_parser,
     emit_trace,
     export_long_format,
     main,
 )
 from contrast_lab.config import ExperimentConfig, parse_config
-from contrast_lab import contrastive
 from contrast_lab.contrastive import HyperParams
 from contrast_lab.errors import ConfigError
+from contrast_lab.monitors import gradient_bound_probe
 from contrast_lab.rng import RngState
 from contrast_lab import Shape, generate_separated, init_params
 from contrast_lab.trainer import train
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 TINY = {
     "n": 5, "k": 2, "L": 2, "m": 24, "d": 6, "b": 6,
     "seed": 3, "T": 4, "eta": 0.05, "gamma": 0.05,
@@ -99,6 +103,10 @@ class TestEmitTrace:
         assert len(lines) == 1 + 8 * len(tiny_trace.records)
 
 
+def _no_net(*args):
+    raise AssertionError("a net was drawn before the input was rejected")
+
+
 def _write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**TINY, **overrides}))
@@ -148,15 +156,24 @@ class TestCommands:
         report = json.loads((out / "probe_ce.json").read_text())["report"]
         assert report["passed"] is True
 
-    def test_sweep_emits_table_and_slopes(self, tmp_path):
+    def test_probe_m_grid_sets_the_gradient_widths(self, tmp_path):
         cfg = _write_config(tmp_path)
-        out = tmp_path / "s"
-        assert main(["sweep", "--config", cfg, "--out", str(out),
-                     "--m-grid", "16,32,64"]) == EXIT_PASS
-        rows = (out / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 4
-        payload = json.loads((out / "sweep.json").read_text())
-        assert "fit_grad_w" in payload and "slope" in payload["fit_grad_w"]
+        out = tmp_path / "p"
+        code = main(["probe", "--config", cfg, "--out", str(out), "--probes", "gradient",
+                     "--m-grid", "16,32,64"])
+        report = json.loads((out / "probe_gradient.json").read_text())["report"]
+        assert code == {True: EXIT_PASS, False: EXIT_FAIL, None: EXIT_INCONCLUSIVE}[report["passed"]]
+        assert report["config"]["ms"] == [16, 32, 64]
+        s = report["scalars"]
+        for name in ("loss", "losstilde_norm", "losshat_norm"):
+            assert len(s[name]) == 3 and all(math.isfinite(x) for x in s[name])
+        root = RngState(seed=TINY["seed"])
+        data = generate_separated(root.child("data"), TINY["n"], TINY["b"], 0.5)
+        hp = HyperParams(k=TINY["k"], eta=TINY["eta"], gamma=TINY["gamma"], T=TINY["T"])
+        direct = gradient_bound_probe(data, hp, (16, 32, 64), TINY["L"], TINY["d"],
+                                      root.child("grad-probe"))
+        for name in ("grad_w_sq", "grad_theta_sq", "loss", "losstilde_norm", "losshat_norm"):
+            assert s[name] == direct.scalars[name]
 
     def test_bad_config_exits_with_failure(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -169,27 +186,46 @@ class TestCommands:
         ({"T": True}, ["train"]),
         ({"eta": "0.1"}, ["train"]),
         ({"out_dir": 5}, ["train"]),
-        ({}, ["sweep", "--m-grid", "32,x"]),
-        ({}, ["sweep", "--m-grid", "32"]),
+        ({}, ["probe", "--probes", "gradient", "--m-grid", "32,x"]),
+        ({}, ["probe", "--probes", "gradient", "--m-grid", "32"]),
         ({"probes": []}, ["probe"]),
         ({}, ["train", "--config", "{tmp}/missing.json"]),
         ({}, ["train", "--out", "{tmp}/config.json"]),
         ({"out_dir": "a\0b"}, ["train"]),
         ({}, ["train", "--out", "a\0b"]),
         ({"eta": math.nan}, ["train"]),
-        ({"eta": math.nan}, ["sweep", "--m-grid", "16,32"]),
+        ({"eta": math.nan}, ["probe", "--probes", "gradient", "--m-grid", "16,32"]),
         ({"gamma": math.inf}, ["probe", "--probes", "ce"]),
         ({"gamma": 10**400}, ["train"]),
         ({"m": 10**12}, ["train"]),
         ({"m": 10**19}, ["train"]),
+        ({}, ["probe", "--probes", "gradient", "--m-grid", "16,1000000000000"]),
+        ({}, ["probe", "--probes", "gradient", "--m-grid", ""]),
+        ({}, ["probe", "--probes", "ce", "--m-grid", "16,32"]),
+        ({}, ["probe", "--probes", ""]),
     ])
-    def test_bad_input_is_one_error_line(self, tmp_path, capsys, overrides, argv):
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, overrides, argv):
+        if argv[0] == "probe":  # probe checks its widths and names before any net
+            monkeypatch.setattr(cli, "init_params", _no_net)
         cfg = _write_config(tmp_path, **overrides)
         out = tmp_path / "bad"
         tail = [a.format(tmp=tmp_path) for a in argv[1:]]  # later flags win
         assert main(argv[:1] + ["--config", cfg, "--out", str(out)] + tail) == EXIT_FAIL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_default_gradient_widths_pass_the_memory_guard(self, tmp_path, capsys, monkeypatch):
+        # memory that holds the weight stacks at the config's m=24 (13,824 bytes)
+        # but not at the default grid's 2m=48 (46,080 bytes)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 20_000}
+        monkeypatch.setattr(config.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(cli, "init_params", _no_net)
+        out = tmp_path / "p"
+        assert main(["probe", "--config", _write_config(tmp_path), "--out", str(out),
+                     "--probes", "gradient"]) == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: gradient probe width 48: ")
         assert not out.exists()
 
     def test_config_not_utf8_is_one_error_line(self, tmp_path, capsys):
@@ -207,8 +243,6 @@ class TestCommands:
         for name in ("trace.csv", "plot_data.csv", "summary.json",
                      "params_query.bin", "params_key.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
-                     "--m-grid", "16,32"]) in (EXIT_PASS, EXIT_INCONCLUSIVE)
         assert main(["probe", "--config", cfg, "--out", str(tmp_path / "p"),
                      "--probes", "gradient"]) in (EXIT_PASS, EXIT_INCONCLUSIVE)
 
@@ -241,6 +275,20 @@ class TestCommands:
                      "--probes", "gradient"]) == EXIT_INCONCLUSIVE
         report = json.loads((out / "probe_gradient.json").read_text())["report"]
         assert report["config"]["ms"] == [64, 128] and report["passed"] is None
+
+
+def test_docs_show_the_parser_commands_and_flags():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    block = README.read_text(encoding="utf-8").split("## CLI")[1].split("```")[1]
+    shown = [line.split("#")[0].split() for line in block.splitlines()
+             if line.startswith("contrast-lab ")]
+    assert sorted({words[1] for words in shown}) == sorted(sub.choices)
+    listing = cli.__doc__.split("--------\n")[1].split("\n\n")[0]
+    assert [line.split()[0] for line in listing.splitlines()
+            if not line.startswith(" ")] == list(sub.choices)
+    for command, *words in (w[1:] for w in shown):
+        for flag in (w for w in words if w.startswith("--")):
+            assert flag in sub.choices[command]._option_string_actions, (command, flag)
 
 
 _FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from contrast_lab import Shape, generate_separated, init_params, monitors
-from contrast_lab.cli import main
 from contrast_lab.contrastive import DEFAULT_ENUMERATION_CAP, HyperParams, total_loss_exact
 from contrast_lab.encoder import Params, forward_batch
 from contrast_lab.errors import ConvergenceError
@@ -206,23 +205,6 @@ def test_gradient_bound_probe_reports_both_encoders(setup):
                                   rng=root.child("gbp"))
     assert set(report.fits) == {"grad_w_sq_vs_m", "grad_theta_sq_vs_m"}
     assert report.scalars["r_w_max"] >= report.scalars["r_w_min"] > 0
-
-
-def test_gradient_bound_probe_repeats_the_sweep_rows(tmp_path):
-    """The probe and `sweep` measure each width with the same function, so at
-    one seed they draw the same nets and report the same numbers bit for bit."""
-    seed, L, d = 3, 2, 6
-    cfg = {"n": 5, "k": 2, "L": L, "m": 24, "d": d, "b": 6, "seed": seed, "T": 4}
-    (tmp_path / "config.json").write_text(json.dumps(cfg))
-    assert main(["sweep", "--config", str(tmp_path / "config.json"),
-                 "--out", str(tmp_path / "s"), "--m-grid", "32,64"]) == 0
-    rows = json.loads((tmp_path / "s" / "sweep.json").read_text())["rows"]
-    root = RngState(seed=seed)
-    data = generate_separated(root.child("data"), 5, 6, 0.5)
-    hp = HyperParams(k=2, eta=0.0625, gamma=0.0625, T=4)
-    report = gradient_bound_probe(data, hp, (32, 64), L, d, RngState(seed))
-    assert report.scalars["grad_w_sq"] == [r["grad_w_sq"] for r in rows]
-    assert report.scalars["grad_theta_sq"] == [r["grad_theta_sq"] for r in rows]
 
 
 class TestSmoothnessProbe:
