@@ -7,14 +7,19 @@ verify  : run the oracle-equivalence checks at reduced scale
 probe   : run the selected measurement probes, write one JSON report each;
           --m-grid sets the hidden widths of the gradient-scaling probe
 
+The config file is the experiment: it holds every setting.  The command line
+says what to run and where: --out (default ``out``), and for probe --probes
+(default all) and --m-grid.  Every flag is checked, and --out created, before
+any net is drawn.
+
 Exit codes: 0 every selected check passed; 1 a check failed or an error
 occurred; 3 at least one probe was inconclusive (fewer than three distinct
 sweep points, or a fit below its R^2 gate) and none failed.
 
-All artifacts embed the full config and the package version; re-running a
-command with an identical config and seed reproduces every artifact byte for
-byte.  Wall-clock timings therefore go to a separate timings.log, never into
-the CSV/JSON outputs.
+All artifacts embed the config file, parsed with its defaults filled in, and
+the package version; re-running a command with an identical config reproduces
+every artifact byte for byte.  Wall-clock timings therefore go to a separate
+timings.log, never into the CSV/JSON outputs.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from scipy.special import ndtri
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .contrastive import HyperParams, grad_params, loss_and_vectors, encode_batch, total_loss_exact, total_loss_mc
+from .contrastive import HyperParams, grad_params, encode_batch, total_loss_exact, total_loss_mc
 from .data import Dataset, generate_separated
 from .encoder import Params, Shape, init_params
 from .errors import ConfigError, ContrastLabError
@@ -112,7 +117,6 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     root, data, qp, kp, hp = _setup(cfg)
     hp = dataclasses.replace(hp, mode=cfg.mode)
     trace, qp_final, kp_final = train(qp, kp, data, hp, rng=root.child("mc-loss"))
-    out.mkdir(parents=True, exist_ok=True)
     emit_trace(trace, out / "trace.csv")
     export_long_format(trace, out / "plot_data.csv")
     (out / "params_query.bin").write_bytes(qp_final.to_bytes())
@@ -144,20 +148,17 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     differences of the exact loss, parameter gradients against finite
     differences at small width, and Monte-Carlo against the exact expectation.
     """
-    small = ExperimentConfig(**{**cfg.to_dict(),
-                                "m": min(cfg.m, 32), "n": min(cfg.n, 6),
-                                "k": min(cfg.k, min(cfg.n, 6) - 1),
-                                "d": min(cfg.d, 8), "b": min(cfg.b, 8),
-                                "probes": cfg.probes})
+    small = dataclasses.replace(cfg, m=min(cfg.m, 32), n=min(cfg.n, 6),
+                                k=min(cfg.k, min(cfg.n, 6) - 1),
+                                d=min(cfg.d, 8), b=min(cfg.b, 8))
     root, data, qp, kp, hp = _setup(small)
     results: dict[str, bool] = {}
 
-    batch = encode_batch(qp, kp, data)
-    _, lv = loss_and_vectors(batch, small.k)
+    g = grad_params(qp, kp, data, hp)
+    lv = g.loss_vectors
     results["losshat_sums_to_zero"] = bool(
         np.linalg.norm(lv.losshat.sum(axis=0)) <= 1e-10 * max(lv.hat_norm, 1e-30))
 
-    g = grad_params(qp, kp, data, hp)
     fd = fd_gradient(lambda a, b_: total_loss_exact(encode_batch(a, b_, data), small.k), qp, kp)
     km = kink_mask(qp, kp, data, DEFAULT_FD_STEP)
     # Absolute floor: a central difference's rounding error.  Each loss value
@@ -176,20 +177,22 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
             rel = max(rel, float(err[free].max()))
     results["grad_matches_finite_differences"] = rel <= rtol
 
-    exact = total_loss_exact(batch, small.k)
+    batch = encode_batch(qp, kp, data)
     est, stderr = total_loss_mc(batch, small.k, root.child("verify-mc"), samples=4000)
     z = -float(ndtri(MC_FALSE_FAILURE_P / 2))
-    results["mc_within_z_stderr"] = abs(est - exact) <= z * max(stderr, 1e-30)
+    results["mc_within_z_stderr"] = abs(est - g.loss) <= z * max(stderr, 1e-30)
 
     ce = ce_smoothness_check(root.child("verify-ce"), trials=10_000)
     results["ce_smoothness"] = bool(ce.passed)
 
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify.json", {**_stamp(cfg), "results": results, "max_grad_rel_error": rel,
                                       "mc_false_failure_p": MC_FALSE_FAILURE_P, "mc_z": z})
     for name, ok in results.items():
         print(f"verify: {name}: {'pass' if ok else 'FAIL'}")
     return EXIT_PASS if all(results.values()) else EXIT_FAIL
+
+
+KNOWN_PROBES = ("init", "gradient", "smoothness", "perturbation", "ce")
 
 
 def _run_probe(name: str, cfg: ExperimentConfig, m_grid: tuple[int, ...], root: RngState,
@@ -209,27 +212,13 @@ def _run_probe(name: str, cfg: ExperimentConfig, m_grid: tuple[int, ...], root: 
     raise ContrastLabError(f"unknown probe {name!r}")
 
 
-def cmd_probe(cfg: ExperimentConfig, out: Path, m_grid: tuple[int, ...] | None = None) -> int:
-    """Run the selected probes.  The gradient probe fits the widths ``m_grid``,
-    by default {max(64, m/4), m, 2m}; every width passes the config's checks
-    before any net is drawn."""
-    if not cfg.probes:
-        raise ConfigError("probe needs at least one probe name")
-    if "gradient" in cfg.probes:
-        m_grid = m_grid or tuple(sorted({max(64, cfg.m // 4), cfg.m, cfg.m * 2}))
-        for m in m_grid:
-            try:
-                dataclasses.replace(cfg, m=m).validate()
-            except ConfigError as err:
-                raise ConfigError(f"gradient probe width {m}: {err}") from None
-    elif m_grid is not None:
-        raise ConfigError("--m-grid sets the widths of the gradient probe, "
-                          "which is not among the selected probes")
+def cmd_probe(cfg: ExperimentConfig, out: Path, probes: tuple[str, ...],
+              m_grid: tuple[int, ...] | None) -> int:
+    """Run ``probes``; the gradient probe fits the widths ``m_grid``."""
     root, data, qp, kp, hp = _setup(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     any_fail = any_inconclusive = False
     rows = []
-    for name in cfg.probes:
+    for name in probes:
         report = _run_probe(name, cfg, m_grid, root, data, qp, kp, hp)
         _write_json(out / f"probe_{name}.json", {**_stamp(cfg), "report": report.to_jsonable()})
         status = {True: "pass", False: "FAIL", None: "inconclusive"}[report.passed]
@@ -244,13 +233,40 @@ def cmd_probe(cfg: ExperimentConfig, out: Path, m_grid: tuple[int, ...] | None =
     return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_PASS
 
 
-def _parse_m_grid(text: str) -> tuple[int, ...]:
-    try:
-        grid = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"--m-grid must be comma-separated integers, got {text!r}") from None
-    if min(grid) < 1 or len(set(grid)) < 2:
-        raise ConfigError(f"--m-grid needs two or more distinct positive widths, got {text!r}")
+def _parse_probes(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    unknown = [p for p in names if p not in KNOWN_PROBES]
+    if unknown:
+        raise ConfigError(f"unknown probes {unknown}; known: {list(KNOWN_PROBES)}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"--probes names a probe twice: {text!r}")
+    return names
+
+
+def _gradient_widths(cfg: ExperimentConfig, probes: tuple[str, ...],
+                     text: str | None) -> tuple[int, ...] | None:
+    """The gradient probe's widths: ``--m-grid``, by default {max(64, m/4), m,
+    2m}, each passing the config's checks; None when the probe is not run."""
+    if "gradient" not in probes:
+        if text is not None:
+            raise ConfigError("--m-grid sets the widths of the gradient probe, "
+                              "which is not among the selected probes")
+        return None
+    if text is None:
+        grid = tuple(sorted({max(64, cfg.m // 4), cfg.m, cfg.m * 2}))
+    else:
+        try:
+            grid = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise ConfigError(f"--m-grid must be comma-separated integers, got {text!r}") from None
+        if min(grid) < 1 or len(grid) < 2 or len(set(grid)) < len(grid):
+            raise ConfigError(f"--m-grid needs two or more distinct positive widths, "
+                              f"each given once, got {text!r}")
+    for m in grid:
+        try:
+            dataclasses.replace(cfg, m=m).validate()
+        except ConfigError as err:
+            raise ConfigError(f"gradient probe width {m}: {err}") from None
     return grid
 
 
@@ -265,12 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("train", "verify", "probe"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--config", required=True, help="path to the JSON config: the experiment")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         if name == "probe":
-            p.add_argument("--probes", default=None,
-                           help="comma-separated probe names (overrides config)")
+            p.add_argument("--probes", default=",".join(KNOWN_PROBES),
+                           help="comma-separated probe names (default: all, %(default)s)")
             p.add_argument("--m-grid", default=None,
                            help="comma-separated hidden widths of the gradient probe "
                                 "(default: max(64, m/4), m, 2m)")
@@ -281,19 +296,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if getattr(args, "probes", None) is not None:
-            cfg.probes = tuple(args.probes.split(","))
-        cfg.validate()
-        if args.out is not None and "\0" in args.out:  # validate checks out_dir
+        if "\0" in args.out:  # Path.mkdir raises ValueError, not OSError
             raise ConfigError(f"--out contains a NUL byte: {args.out!r}")
-        out = Path(args.out if args.out is not None else cfg.out_dir)
+        if args.command == "probe":
+            probes = _parse_probes(args.probes)
+            m_grid = _gradient_widths(cfg, probes, args.m_grid)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "train":
             return cmd_train(cfg, out)
         if args.command == "verify":
             return cmd_verify(cfg, out)
-        return cmd_probe(cfg, out, None if args.m_grid is None else _parse_m_grid(args.m_grid))
+        return cmd_probe(cfg, out, probes, m_grid)
     except (ContrastLabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL

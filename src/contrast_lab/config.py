@@ -1,5 +1,5 @@
 """Experiment configuration: a single JSON-serializable record holding every
-knob the command-line tools accept."""
+setting of the experiment; the command line says only what to run and where."""
 
 from __future__ import annotations
 
@@ -11,15 +11,13 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-KNOWN_PROBES = ("init", "gradient", "smoothness", "perturbation", "ce")
-
 #: Step sizes for the default desk-scale run (n=8, k=2, L=3, m=512, d=32).
 #: Calibrated once on that config and fixed; scale like d/m.
 DEFAULT_ETA = 0.0625
 DEFAULT_GAMMA = 0.0625
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 8
     k: int = 2
@@ -37,8 +35,6 @@ class ExperimentConfig:
     mode: str = "exact"                   # train's loss: "exact" | "monte-carlo"
     mc_samples: int = 2000
     enumeration_cap: int = 10**6
-    probes: tuple[str, ...] = KNOWN_PROBES
-    out_dir: str = "out"
 
     def validate(self) -> None:
         for name in ("seed", "n", "k", "L", "m", "d", "b", "T", "mc_samples", "enumeration_cap"):
@@ -54,8 +50,6 @@ class ExperimentConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not abs(value) <= sys.float_info.max):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.out_dir, str) or "\0" in self.out_dir:
-            raise ConfigError(f"out_dir must be a path string without NUL, got {self.out_dir!r}")
         # the two float64 weight stacks alone; beyond physical memory, init fails
         weight_bytes = 2 * 8 * (self.m * self.b + (self.L - 1) * self.m**2 + self.d * self.m)
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -76,14 +70,9 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be exact or monte-carlo, got {self.mode!r}")
         if self.eta <= 0 or self.gamma <= 0:
             raise ConfigError("eta and gamma must be positive")
-        unknown = [p for p in self.probes if p not in KNOWN_PROBES]
-        if unknown:
-            raise ConfigError(f"unknown probes {unknown}; known: {list(KNOWN_PROBES)}")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["probes"] = list(self.probes)
-        return out
+        return dataclasses.asdict(self)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -99,10 +88,6 @@ def parse_config(text: str) -> ExperimentConfig:
     unknown = sorted(set(raw) - names)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    if "probes" in raw:
-        if not isinstance(raw["probes"], list):
-            raise ConfigError("probes must be a list of probe names")
-        raw["probes"] = tuple(raw["probes"])
     cfg = ExperimentConfig(**raw)
     cfg.validate()
     return cfg

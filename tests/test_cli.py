@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,13 +135,6 @@ class TestCommands:
         for name in ("trace.csv", "summary.json", "params_query.bin", "params_key.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_seed_override_changes_artifacts(self, tmp_path):
-        cfg = _write_config(tmp_path)
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["train", "--config", cfg, "--out", str(a)])
-        main(["train", "--config", cfg, "--out", str(b), "--seed", "99"])
-        assert (a / "trace.csv").read_bytes() != (b / "trace.csv").read_bytes()
-
     def test_verify_passes_on_default(self, tmp_path):
         cfg = _write_config(tmp_path)
         out = tmp_path / "v"
@@ -185,13 +179,13 @@ class TestCommands:
         ({"mode": "mc"}, ["train"]),
         ({"T": True}, ["train"]),
         ({"eta": "0.1"}, ["train"]),
-        ({"out_dir": 5}, ["train"]),
+        ({"probes": ["ce"]}, ["probe"]),
         ({}, ["probe", "--probes", "gradient", "--m-grid", "32,x"]),
         ({}, ["probe", "--probes", "gradient", "--m-grid", "32"]),
-        ({"probes": []}, ["probe"]),
+        ({}, ["probe", "--probes", "gradient", "--m-grid", "32,32,64"]),
         ({}, ["train", "--config", "{tmp}/missing.json"]),
         ({}, ["train", "--out", "{tmp}/config.json"]),
-        ({"out_dir": "a\0b"}, ["train"]),
+        ({}, ["verify", "--out", "{tmp}/config.json"]),
         ({}, ["train", "--out", "a\0b"]),
         ({"eta": math.nan}, ["train"]),
         ({"eta": math.nan}, ["probe", "--probes", "gradient", "--m-grid", "16,32"]),
@@ -203,10 +197,10 @@ class TestCommands:
         ({}, ["probe", "--probes", "gradient", "--m-grid", ""]),
         ({}, ["probe", "--probes", "ce", "--m-grid", "16,32"]),
         ({}, ["probe", "--probes", ""]),
+        ({}, ["probe", "--probes", "ce,ce"]),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, overrides, argv):
-        if argv[0] == "probe":  # probe checks its widths and names before any net
-            monkeypatch.setattr(cli, "init_params", _no_net)
+        monkeypatch.setattr(cli, "init_params", _no_net)  # every flag is checked before any net
         cfg = _write_config(tmp_path, **overrides)
         out = tmp_path / "bad"
         tail = [a.format(tmp=tmp_path) for a in argv[1:]]  # later flags win
@@ -230,7 +224,7 @@ class TestCommands:
 
     def test_config_not_utf8_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_bytes(b'{"n": 5, "out_dir": "\xff"}')
+        path.write_bytes(b'{"n": 5, "mode": "\xff"}')
         assert main(["train", "--config", str(path)]) == EXIT_FAIL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -265,6 +259,17 @@ class TestCommands:
                                       "mc_within_z_stderr": False, "ce_smoothness": True}
         assert payload["mc_false_failure_p"] == 1e-6
         assert payload["mc_z"] == pytest.approx(4.8916, abs=1e-4)
+
+    def test_every_stamp_is_the_config_file(self, tmp_path):
+        text = json.dumps({**TINY, "seed": 7})
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        for argv, artifact in ((["train"], "summary.json"), (["verify"], "verify.json"),
+                               (["probe", "--probes", "ce"], "probe_ce.json")):
+            out = tmp_path / f"{argv[0]}-run"
+            assert main(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == EXIT_PASS
+            stamp = json.loads((out / artifact).read_text())["config"]
+            assert stamp == parse_config(text).to_dict(), argv
 
     def test_gradient_probe_needs_three_widths(self, tmp_path):
         # m=64 gives the widths {64, 128}, and a line through two points has R^2 = 1
@@ -304,8 +309,7 @@ _JSON_VALUES = st.recursive(
     max_leaves=5)
 # values near the valid ranges, so that some documents pass validation
 _PLAUSIBLE = (st.integers(-2, 40) | st.floats(-0.5, 2.0)
-              | st.sampled_from(["exact", "monte-carlo", "practical", "theoretical", "out",
-                                 ["init"], ["ce", "gradient"]]))
+              | st.sampled_from(["exact", "monte-carlo", "practical", "theoretical"]))
 _KEYS = st.sampled_from(_FIELDS) | st.text(max_size=8)
 # whole documents, and the valid TINY with one key set to an arbitrary value
 _DOCUMENTS = (st.dictionaries(_KEYS, _JSON_VALUES | _PLAUSIBLE, max_size=8)
@@ -317,7 +321,7 @@ _DOCUMENTS = (st.dictionaries(_KEYS, _JSON_VALUES | _PLAUSIBLE, max_size=8)
 @example(doc={**TINY, "eta": math.nan})
 @example(doc={**TINY, "gamma": -math.inf})
 @example(doc={**TINY, "epsilon": 10**400})
-@example(doc={**TINY, "out_dir": "a\0b"})
+@example(doc={**TINY, "out_dir": "out"})
 @settings(max_examples=200, deadline=None)
 def test_config_document_is_in_range_or_one_error_line(doc):
     # json.dumps writes NaN and Infinity, which json.loads reads back
@@ -345,3 +349,44 @@ def test_config_document_is_in_range_or_one_error_line(doc):
     assert 0 < cfg.epsilon < 1 and 0 < cfg.delta_min < math.sqrt(2)
     assert cfg.eta > 0 and cfg.gamma > 0
     assert cfg.b >= 2 and 1 <= cfg.k <= cfg.n - 1
+
+
+# valid lists (known names, or widths, each once), near misses, and noise
+_PROBE_TEXT = (st.lists(st.sampled_from(cli.KNOWN_PROBES), min_size=1, unique=True)
+               | st.lists(st.sampled_from(cli.KNOWN_PROBES + ("", "sweep", "Init")),
+                          max_size=6)).map(",".join)
+_WIDTH_TEXT = (st.lists(st.integers(1, 80), min_size=2, max_size=4, unique=True)
+               | st.lists(st.integers(-2, 80) | st.sampled_from([10**12, 10**19]),
+                          max_size=5)).map(lambda ws: ",".join(map(str, ws)))
+_ARG_TEXT = st.text(alphabet="0123456789,+-_ ex", max_size=8)
+
+
+@given(probes=st.none() | _PROBE_TEXT | _ARG_TEXT, m_grid=st.none() | _WIDTH_TEXT | _ARG_TEXT)
+@example(probes="gradient", m_grid="32,32,64")
+@example(probes="ce,ce", m_grid=None)
+@settings(max_examples=200, deadline=None)
+def test_probe_argv_reaches_the_run_checked_or_is_one_error_line(probes, m_grid):
+    # the --flag=value form, since argparse reads a separate "-3,5" as a flag
+    flags = [] if probes is None else [f"--probes={probes}"]
+    flags += [] if m_grid is None else [f"--m-grid={m_grid}"]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "cmd_probe", return_value=EXIT_PASS) as run, \
+            mock.patch.object(cli, "init_params", _no_net):
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(TINY), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["probe", "--config", str(path), "--out", str(out)] + flags)
+        created = out.exists()
+    lines = err.getvalue().splitlines()
+    if not run.called:
+        assert code == EXIT_FAIL and not created
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return
+    _, _, names, widths = run.call_args.args
+    assert code == EXIT_PASS and created and not lines
+    assert names and set(names) <= set(cli.KNOWN_PROBES) and len(set(names)) == len(names)
+    if "gradient" in names:
+        assert len(widths) >= 2 and min(widths) >= 1 and len(set(widths)) == len(widths)
+    else:
+        assert widths is None
