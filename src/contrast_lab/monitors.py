@@ -2,18 +2,20 @@
 supposed to satisfy into a measured ratio, residual, or scaling exponent.
 
 Probes never assume the hidden constants of the bounds they check are 1;
-they fit exponents and report band statistics.  Every fitted probe takes
-its verdict from ``_verdict``: a pass or fail needs three distinct positive
-sweep points (a line fits two exactly) and fits that clear their R^2 gate
-(``GRADIENT_R2_GATE`` for gradient scaling, else ``R2_GATE``); otherwise the
-probe reports "inconclusive".
+they fit exponents and report band statistics.  Every fitted probe hands its
+sweep and named series to ``_verdict``, which fits each series log-log over
+the sweep's positive points when there are two or more distinct ones and the
+series is positive at each, and else skips it with a note.  A pass or fail
+needs three distinct positive points (a line fits two exactly) and fits that
+clear their R^2 gate (``GRADIENT_R2_GATE`` for gradient scaling, else
+``R2_GATE``); otherwise the probe reports "inconclusive".
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -27,14 +29,17 @@ from .linalg import power_iteration, spectral_norm
 from .rng import RngState
 from .trainer import TrainTrace
 
-# R^2 gates and [lo, hi] slope bands of the fitted probes, and the draws of
+# R^2 gates and [lo, hi] slope bands of the fitted probes, the sweeps the
+# smoothness and perturbation bands were calibrated on, and the draws of
 # ``ce_smoothness_check``: k in [1, CE_MAX_K], coordinates in [-CE_SCALE, CE_SCALE].
 R2_GATE = 0.9
 GRADIENT_R2_GATE = 0.95
 GRADIENT_SLOPE_BAND = (0.85, 1.15)
 SMOOTHNESS_EXPONENT_BAND = (1.25, math.inf)
+SMOOTHNESS_RHOS = tuple(float(x) for x in np.geomspace(1e-4, 1e-2, 7))
 FLIP_SLOPE_BAND = (0.8, 1.2)
 DRIFT_SLOPE_BAND = (0.9, 1.1)
+PERTURBATION_OMEGAS = tuple(float(x) for x in np.geomspace(1e-4, 1e-1, 7))
 CE_MAX_K, CE_SCALE, CE_TOL = 16, 10.0, 1e-12
 
 # Chance that a correct He initialization fails the hidden-norm clause of
@@ -47,9 +52,6 @@ class FitResult:
     slope: float
     intercept: float
     r2: float
-
-    def to_jsonable(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept, "r2": self.r2}
 
 
 def fit_loglog(xs: np.ndarray, ys: np.ndarray) -> FitResult:
@@ -80,33 +82,34 @@ class ProbeReport:
     notes: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "config": self.config,
-            "scalars": self.scalars,
-            "fits": {k: f.to_jsonable() for k, f in self.fits.items()},
-            "thresholds": self.thresholds,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=False)
 
 
-def _verdict(xs, fits: dict[str, FitResult], bands: dict[str, tuple[float, float]],
-             r2_min: float, points: str) -> tuple[bool | None, tuple[str, ...]]:
-    """(verdict, notes) of a fitted probe: None unless the sweep ``xs`` has
-    three distinct positive points (a line fits two exactly) and every fit
-    named in ``bands`` exists with R^2 >= r2_min, else whether each of those
-    fits' slope lies in its [lo, hi] band."""
-    if len({x for x in xs if x > 0}) < 3:
-        return None, (f"fewer than three distinct {points}: no verdict",)
+def _verdict(xs, series: dict[str, np.ndarray], bands: dict[str, tuple[float, float]],
+             r2_min: float, points: str) -> tuple[dict[str, FitResult], bool | None, tuple]:
+    """(fits, verdict, notes) of a fitted probe by the module's rule: None
+    without three distinct positive ``xs`` or without every fit named in
+    ``bands`` at R^2 >= r2_min, else whether each such slope is in its band."""
+    xs = np.asarray(xs, dtype=np.float64)
+    live = xs > 0
+    distinct = len(set(xs[live].tolist()))
+    fits, notes = {}, []
+    for name, ys in series.items():
+        ys = np.asarray(ys, dtype=np.float64)[live]
+        if distinct >= 2 and np.all(ys > 0):
+            fits[name] = fit_loglog(xs[live], ys)
+        else:
+            notes.append(f"{name} not fitted: needs two distinct {points}, positive at each")
     banded = [fits.get(name) for name in bands]
+    if distinct < 3:
+        return fits, None, (*notes, f"fewer than three distinct {points}: no verdict")
     if any(f is None or not f.r2 >= r2_min for f in banded):
-        return None, ()
-    return all(lo <= f.slope <= hi for f, (lo, hi) in zip(banded, bands.values())), ()
+        return fits, None, tuple(notes)
+    passed = all(lo <= f.slope <= hi for f, (lo, hi) in zip(banded, bands.values()))
+    return fits, passed, tuple(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +275,9 @@ def gradient_bound_probe(
     loss, gw2, gt2, tilde, hat = (list(col) for col in zip(*rows))
     rw = [w2 * n * d / (m * t**2) if t**2 > 0 else math.nan for m, w2, t in zip(ms, gw2, tilde)]
     rt = [t2 * n * d / (m * h**2) if h**2 > 0 else math.nan for m, t2, h in zip(ms, gt2, hat)]
-    ms_arr = np.asarray(ms, dtype=np.float64)
-    fits = {"grad_w_sq_vs_m": fit_loglog(ms_arr, np.asarray(gw2)),
-            "grad_theta_sq_vs_m": fit_loglog(ms_arr, np.asarray(gt2))}
-    passed, notes = _verdict(ms, fits, dict.fromkeys(fits, GRADIENT_SLOPE_BAND),
-                             GRADIENT_R2_GATE, "widths")
+    series = {"grad_w_sq_vs_m": gw2, "grad_theta_sq_vs_m": gt2}
+    fits, passed, notes = _verdict(ms, series, dict.fromkeys(series, GRADIENT_SLOPE_BAND),
+                                   GRADIENT_R2_GATE, "widths")
     rw_arr, rt_arr = np.asarray(rw), np.asarray(rt)
     scalars = {
         "r_w_min": float(np.nanmin(rw_arr)), "r_w_max": float(np.nanmax(rw_arr)),
@@ -341,11 +342,11 @@ def smoothness_probe(
                 raise EvaluationError(f"perturbed loss non-finite at rho={rho}")
             residuals[di, ri] = val - base.loss - rho * inner
     mean_abs = np.abs(residuals).mean(axis=0)
+    fits, passed, notes = _verdict(rhos, {"abs_residual_vs_rho": mean_abs},
+                                   {"abs_residual_vs_rho": SMOOTHNESS_EXPONENT_BAND},
+                                   R2_GATE, "positive rhos")
     rho_arr = np.asarray(rhos)
     fittable = rho_arr > 0
-    fits = {"abs_residual_vs_rho": fit_loglog(rho_arr[fittable], mean_abs[fittable])}
-    passed, notes = _verdict(rhos, fits, dict.fromkeys(fits, SMOOTHNESS_EXPONENT_BAND),
-                             R2_GATE, "positive rhos")
     # residual magnitude relative to the two structural error scales
     m, d, n = qp.shape.m, qp.shape.d, data.n
     first_order_scale = rho_arr[fittable] ** (4 / 3) * math.sqrt(
@@ -481,22 +482,12 @@ def perturbation_probe(
     mean_flips = flips.mean(axis=0)
     mean_out = out_drift.mean(axis=0)
     mean_hid = hid_drift.mean(axis=0)
-    omegas_arr = np.asarray(omegas)
-    notes = ["worst-case ceiling over the spectral ball: flip fraction "
-             "O(omega^{2/3} L) (flip exponent 2/3)"]
-    fits = {}
-    live = omegas_arr > 0
-    if live.sum() >= 2:
-        if np.all(mean_flips[live] > 0):
-            fits["flip_fraction_vs_omega"] = fit_loglog(
-                omegas_arr[live], mean_flips[live])
-        else:
-            notes.append("zero flips at small omega; flip fit skipped")
-        fits["output_drift_vs_omega"] = fit_loglog(omegas_arr[live], mean_out[live])
-        fits["hidden_drift_vs_omega"] = fit_loglog(omegas_arr[live], mean_hid[live])
+    series = {"flip_fraction_vs_omega": mean_flips, "output_drift_vs_omega": mean_out,
+              "hidden_drift_vs_omega": mean_hid}
     bands = {"flip_fraction_vs_omega": FLIP_SLOPE_BAND, "output_drift_vs_omega": DRIFT_SLOPE_BAND}
-    passed, verdict_notes = _verdict(omegas, fits, bands, R2_GATE, "positive omegas")
-    drift_ratio = mean_out[live] / omegas_arr[live]
+    fits, passed, notes = _verdict(omegas, series, bands, R2_GATE, "positive omegas")
+    live = np.asarray(omegas) > 0
+    drift_ratio = mean_out[live] / np.asarray(omegas)[live]
     scalars = {
         "mean_flip_fractions": mean_flips.tolist(),
         "mean_output_drifts": mean_out.tolist(),
@@ -522,7 +513,8 @@ def perturbation_probe(
                     "drift_slope_lo": DRIFT_SLOPE_BAND[0], "drift_slope_hi": DRIFT_SLOPE_BAND[1],
                     "r2_min": R2_GATE},
         passed=passed,
-        notes=tuple(notes) + verdict_notes,
+        notes=("worst-case ceiling over the spectral ball: flip fraction "
+               "O(omega^{2/3} L) (flip exponent 2/3)",) + notes,
     )
 
 

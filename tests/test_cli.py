@@ -198,6 +198,7 @@ class TestCommands:
         ({}, ["probe", "--probes", "ce", "--m-grid", "16,32"]),
         ({}, ["probe", "--probes", ""]),
         ({}, ["probe", "--probes", "ce,ce"]),
+        ({}, ["probe", "--probes", "gradient", "--m-grid", "-3,5"]),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, overrides, argv):
         monkeypatch.setattr(cli, "init_params", _no_net)  # every flag is checked before any net
@@ -208,6 +209,18 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
+
+    def test_argv_without_config_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", "--out", str(out)]) == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the following arguments are required: --config"]
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["probe", "--help"])
+        assert exit_.value.code == 0 and "--m-grid" in capsys.readouterr().out
 
     def test_default_gradient_widths_pass_the_memory_guard(self, tmp_path, capsys, monkeypatch):
         # memory that holds the weight stacks at the config's m=24 (13,824 bytes)
@@ -256,7 +269,7 @@ class TestCommands:
         payload = json.loads((out / "verify.json").read_text())
         assert payload["results"] == {"losshat_sums_to_zero": True,
                                       "grad_matches_finite_differences": True,
-                                      "mc_within_z_stderr": False, "ce_smoothness": True}
+                                      "mc_within_z_stderr": False}
         assert payload["mc_false_failure_p"] == 1e-6
         assert payload["mc_z"] == pytest.approx(4.8916, abs=1e-4)
 

@@ -262,6 +262,28 @@ def test_two_point_sweep_gives_no_verdict(setup, probe):
     assert f"fewer than three distinct {points}: no verdict" in report.notes
 
 
+@pytest.mark.parametrize("probe", ["gradient", "smoothness", "perturbation"])
+@pytest.mark.parametrize("sweep", ["one point", "zero and one point"])
+def test_degenerate_sweep_is_inconclusive(setup, probe, sweep):
+    # one distinct positive point fits no line; a width of 0 is no net, so the
+    # gradient probe's second sweep repeats its one width instead
+    root, data, qp, kp, hp = setup
+    if probe == "gradient":
+        ms = (32,) if sweep == "one point" else (32, 32)
+        report = gradient_bound_probe(data, hp, ms, L=2, d=8, rng=root.child("deg"))
+        points = "widths"
+    elif probe == "smoothness":
+        rhos = (1e-3,) if sweep == "one point" else (0.0, 1e-3)
+        report = smoothness_probe(qp, kp, data, hp, rhos, root.child("deg"), n_directions=1)
+        points = "positive rhos"
+    else:
+        omegas = (1e-3,) if sweep == "one point" else (0.0, 1e-3)
+        report = perturbation_probe(qp, data, omegas, root.child("deg"), n_directions=1)
+        points = "positive omegas"
+    assert report.passed is None and report.fits == {}
+    assert f"fewer than three distinct {points}: no verdict" in report.notes
+
+
 def test_descent_check_on_converging_run(setup):
     root, data, qp, kp, hp = setup
     trace, _, _ = train(qp, kp, data, hp)
@@ -294,7 +316,8 @@ class TestPerturbationProbe:
         report = perturbation_probe(qp, data, (1e-13, 1e-12), root.child("pp2"),
                                     n_directions=1)
         assert report.passed is None
-        assert any("flip fit skipped" in n for n in report.notes)
+        assert "flip_fraction_vs_omega" not in report.fits
+        assert any(n.startswith("flip_fraction_vs_omega not fitted") for n in report.notes)
 
 
 class TestCeSmoothness:

@@ -2,7 +2,7 @@
 code in the package, the benchmark's traced run, or an acceptance test that
 uses it as an independent oracle or measurement.  The oracles reach none of
 the production paths they certify.  No module re-opens an array for writing
-once it has been frozen."""
+once it has been frozen.  In ``monitors`` only ``_verdict`` fits a line."""
 
 import ast
 import functools
@@ -80,3 +80,9 @@ def test_no_module_reopens_frozen_arrays():
         and any(isinstance(t, ast.Attribute) and t.attr == "writeable" for t in node.targets)
     ]
     assert not reopened, f"writeable = True at {reopened}"
+
+
+def test_only_verdict_fits_in_monitors():
+    fitting = [getattr(node, "name", node.lineno) for node in _modules()["monitors"].body
+               if "fit_loglog" in _used_names(node)]
+    assert fitting == ["_verdict"], f"fit_loglog referenced from {fitting}"
