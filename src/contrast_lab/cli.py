@@ -9,8 +9,8 @@ probe   : run the selected measurement probes, write one JSON report each;
 
 The config file is the experiment: it holds every setting.  The command line
 says what to run and where: --out (default ``out``), and for probe --probes
-(default all) and --m-grid.  Every flag is checked, and --out created, before
-any net is drawn.
+(default all) and --m-grid.  Every flag and the enumeration cap are checked,
+and --out created, before any net is drawn.
 
 Exit codes: 0 every selected check passed; 1 a check failed or an error
 occurred, bad argv included; 3 at least one probe was inconclusive (fewer
@@ -35,7 +35,8 @@ from scipy.special import ndtri
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .contrastive import HyperParams, grad_params, encode_batch, total_loss_exact, total_loss_mc
+from .contrastive import (HyperParams, check_subsets, encode_batch, grad_params,
+                          total_loss_exact, total_loss_mc)
 from .data import Dataset, generate_separated
 from .encoder import Params, Shape, init_params
 from .errors import ConfigError, ContrastLabError
@@ -145,14 +146,18 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     return EXIT_PASS
 
 
+def _verify_scale(cfg: ExperimentConfig) -> ExperimentConfig:
+    n = min(cfg.n, 6)
+    return dataclasses.replace(cfg, m=min(cfg.m, 32), n=n, k=min(cfg.k, n - 1), d=min(cfg.d, 8),
+                               b=min(cfg.b, 8))
+
+
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     """Oracle-equivalence checks at reduced scale: loss vectors against finite
     differences of the exact loss, parameter gradients against finite
     differences at small width, and Monte-Carlo against the exact expectation.
     """
-    small = dataclasses.replace(cfg, m=min(cfg.m, 32), n=min(cfg.n, 6),
-                                k=min(cfg.k, min(cfg.n, 6) - 1),
-                                d=min(cfg.d, 8), b=min(cfg.b, 8))
+    small = _verify_scale(cfg)
     root, data, qp, kp, hp = _setup(small)
     results: dict[str, bool] = {}
 
@@ -305,6 +310,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "probe":
             probes = _parse_probes(args.probes)
             m_grid = _gradient_widths(cfg, probes, args.m_grid)
+        # the commands that enumerate the exact loss, verify at its reduced scale
+        if args.command == "verify":
+            small = _verify_scale(cfg)
+            check_subsets(small.n, small.k, cfg.enumeration_cap)
+        elif (args.command == "train" and cfg.mode == "exact"
+              or args.command == "probe" and {"smoothness", "gradient"} & set(probes)):
+            check_subsets(cfg.n, cfg.k, cfg.enumeration_cap)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "train":

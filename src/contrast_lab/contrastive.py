@@ -24,8 +24,6 @@ from .errors import EnumerationError, ShapeError
 from .rng import RngState
 
 DEFAULT_ENUMERATION_CAP = 10**6
-# Samples per block of the Monte-Carlo subset draw; bounds its transient memory.
-DRAW_BLOCK_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -95,14 +93,18 @@ class HyperParams:
 
 def _draw_subsets(gen: np.random.Generator, samples: int, n: int, k: int) -> np.ndarray:
     """(samples, n, k) uniform k-subsets of the n-1 others of each anchor, as
-    indices relative to [n] minus the anchor: the k smallest of n-1 i.i.d.
-    uniforms sit at a uniformly random k-subset of positions.  Blocks along
-    the sample axis take the same stream as one (samples, n, n-1) draw."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+    indices relative to [n] minus the anchor, by Floyd's algorithm (Bentley &
+    Floyd, CACM 30(9), 1987) for every (sample, anchor) at once: for j = n-1-k,
+    ..., n-2 draw t uniform in [0, j], and take j instead if t is a member.
+    Beside the index array it holds one int64 and one bool (samples, n) array."""
+    check_subsets(n, k)
     out = np.empty((samples, n, k), dtype=np.intp)
-    for block in np.split(out, range(DRAW_BLOCK_SAMPLES, samples, DRAW_BLOCK_SAMPLES)):
-        block[...] = np.argpartition(gen.random((len(block), n, n - 1)), k - 1, axis=2)[:, :, :k]
+    for col, j in enumerate(range(n - 1 - k, n - 1)):
+        t = gen.integers(0, j + 1, (samples, n))
+        for prev in range(col):  # a t set to j matches no later member: all are < j
+            np.putmask(t, out[:, :, prev] == t, j)
+        out[:, :, col] = t
+        del t  # before the next column's draw
     return out
 
 
@@ -133,16 +135,19 @@ def log_partition(a: np.ndarray) -> np.ndarray:
     return hi + np.log(s + np.exp(-hi))
 
 
-def _exact_groups(n: int, k: int, cap: int):
-    """Anchors in groups of at most cap subset losses (one anchor at least), each
-    with the flat index (g, C(n-1, k), k) of every subset member into its logits."""
+def check_subsets(n: int, k: int, cap: float = math.inf) -> None:
+    """Raise unless 1 <= k <= n-1 and each anchor has at most cap k-subsets."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     if math.comb(n - 1, k) > cap:
-        raise EnumerationError(
-            f"C({n - 1},{k}) = {math.comb(n - 1, k)} subsets exceeds the "
-            f"enumeration cap {cap}; use monte-carlo mode"
-        )
+        raise EnumerationError(f"C({n - 1},{k}) = {math.comb(n - 1, k)} subsets exceeds the "
+                               f"enumeration cap {cap}; only monte-carlo mode runs above it")
+
+
+def _exact_groups(n: int, k: int, cap: int):
+    """Anchors in groups of at most cap subset losses (one anchor at least), each
+    with the flat index (g, C(n-1, k), k) of every subset member into its logits."""
+    check_subsets(n, k, cap)
     rel = _relative_subsets(n - 1, k)
     size = max(1, cap // len(rel))
     return ((anchors, (np.arange(len(anchors)) * (n - 1))[:, None, None] + rel)

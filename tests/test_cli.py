@@ -38,6 +38,9 @@ TINY = {
     "seed": 3, "T": 4, "eta": 0.05, "gamma": 0.05,
 }
 
+# C(11,5) = 462 subsets per anchor, above the cap: only monte-carlo mode runs
+ABOVE_CAP = {"n": 12, "k": 5, "L": 2, "m": 16, "d": 4, "b": 4, "T": 2, "enumeration_cap": 10}
+
 
 class TestParseConfig:
     def test_minimal_document_gets_defaults(self):
@@ -199,6 +202,10 @@ class TestCommands:
         ({}, ["probe", "--probes", ""]),
         ({}, ["probe", "--probes", "ce,ce"]),
         ({}, ["probe", "--probes", "gradient", "--m-grid", "-3,5"]),
+        (ABOVE_CAP, ["train"]),
+        (ABOVE_CAP, ["probe", "--probes", "smoothness"]),
+        (ABOVE_CAP, ["probe", "--probes", "ce,gradient"]),
+        ({"enumeration_cap": 5}, ["verify"]),  # C(4,2) = 6 at verify's n=5, k=2
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, overrides, argv):
         monkeypatch.setattr(cli, "init_params", _no_net)  # every flag is checked before any net
@@ -252,6 +259,15 @@ class TestCommands:
             assert (a / name).read_bytes() == (b / name).read_bytes()
         assert main(["probe", "--config", cfg, "--out", str(tmp_path / "p"),
                      "--probes", "gradient"]) in (EXIT_PASS, EXIT_INCONCLUSIVE)
+
+    def test_monte_carlo_train_runs_above_the_cap(self, tmp_path):
+        cfg = _write_config(tmp_path, **ABOVE_CAP, mode="monte-carlo", mc_samples=50)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["train", "--config", cfg, "--out", str(a)]) == EXIT_PASS
+        assert main(["train", "--config", cfg, "--out", str(b)]) == EXIT_PASS
+        for name in ("trace.csv", "plot_data.csv", "summary.json",
+                     "params_query.bin", "params_key.bin"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_verify_passes_where_rounding_broke_it(self, tmp_path):
         # At this seed one gradient entry of 7.46e-9 differs from its central

@@ -4,11 +4,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from contrast_lab import contrastive
 from contrast_lab.contrastive import (
     DEFAULT_ENUMERATION_CAP,
-    DRAW_BLOCK_SAMPLES,
     EncodedBatch,
     HyperParams,
     encode_batch,
@@ -158,41 +158,45 @@ def test_mc_loss_vectors_near_exact(gen):
     assert np.all(np.abs(mc.losshat - exact.losshat) <= z * np.sqrt(var_hat))
 
 
-def _one_shot_draw(gen, samples, n, k):
-    return np.argpartition(gen.random((samples, n, n - 1)), k - 1, axis=2)[:, :, :k]
+# Chance that a uniform draw fails one anchor's chi-square test below.
+UNIFORMITY_FALSE_FAILURE_P = 1e-6
 
 
-@pytest.mark.parametrize("seed, n, k, samples", [
-    (0, 8, 2, 2 * DRAW_BLOCK_SAMPLES + 17),
-    (1, 10, 3, 10_000),
-    (2, 5, 4, DRAW_BLOCK_SAMPLES),
-    (3, 12, 1, 300),
+@pytest.mark.parametrize("seed, n, k", [
+    (0, 6, 3),
+    (1, 7, 1),  # k = 1
+    (2, 5, 4),  # k = n-1: one subset, which distinctness alone pins
+    (3, 9, 2),
+    (4, 10, 3),
 ])
-def test_blocked_draw_matches_one_shot_draw(seed, n, k, samples, monkeypatch):
-    """The block-by-block draw takes the same uniforms as one draw of the
-    whole array, so both Monte-Carlo consumers stay bit-identical."""
-    blocked = contrastive._draw_subsets(np.random.default_rng(seed), samples, n, k)
-    assert np.array_equal(blocked, _one_shot_draw(np.random.default_rng(seed), samples, n, k))
-    batch = random_batch(np.random.default_rng(seed + 100), n, 4)
-
-    def both():
-        rng = RngState(seed=seed)
-        return (total_loss_mc(batch, k, rng.child("total"), samples=samples),
-                loss_and_vectors(batch, k, mode="monte-carlo", mc_samples=samples,
-                                 rng=rng.child("vectors")))
-
-    (est, stderr), (loss, lv) = both()
-    monkeypatch.setattr(contrastive, "_draw_subsets", _one_shot_draw)
-    (est1, stderr1), (loss1, lv1) = both()
-    assert (est, stderr, loss) == (est1, stderr1, loss1)
-    assert np.array_equal(lv.losstilde, lv1.losstilde)
-    assert np.array_equal(lv.losshat, lv1.losshat)
+def test_draw_is_uniform_over_the_subsets(seed, n, k):
+    """Each anchor's draws are distinct members of [0, n-2], and their counts
+    over all C(n-1, k) subsets pass a chi-square test at p = 1e-6.  A draw of
+    t from [0, j-1], or one that keeps a duplicate t instead of taking j,
+    fails it."""
+    samples = 40_000
+    drawn = contrastive._draw_subsets(np.random.default_rng(seed), samples, n, k)
+    assert drawn.shape == (samples, n, k)
+    assert drawn.min() >= 0 and drawn.max() <= n - 2
+    ordered = np.sort(drawn, axis=2)
+    assert np.all(ordered[..., 1:] > ordered[..., :-1])
+    # a subset's code is the bit mask of its members
+    codes = (1 << drawn).sum(axis=2)
+    cells = (1 << contrastive._relative_subsets(n - 1, k)).sum(axis=1)
+    dof = len(cells) - 1
+    threshold = scipy.stats.chi2.isf(UNIFORMITY_FALSE_FAILURE_P, dof) if dof else 0.0
+    expected = samples / len(cells)
+    for anchor in range(n):
+        counts = np.bincount(codes[:, anchor], minlength=1 << (n - 1))[cells]
+        assert counts.sum() == samples
+        assert np.sum((counts - expected) ** 2) / expected <= threshold, anchor
 
 
 def test_draw_keeps_only_the_index_array():
-    """At n=20, k=3 and 20,000 samples the whole-array draw kept 58 MB of
-    argpartition output alive behind a 9.6 MB k-slice; the blocked draw
-    retains the index array alone and peaks one block above it."""
+    """At n=20, k=3 and 20,000 samples the draw retains its 9.6 MB index array
+    alone and peaks 13.2 MB, one int64 and one bool (samples, n) array above
+    it.  The bound allows a second bool, 13.6 MB; two int64 arrays alive at
+    once would reach 16.0 MB."""
     n, k, samples = 20, 3, 20_000
     tracemalloc.start()
     try:
@@ -200,10 +204,9 @@ def test_draw_keeps_only_the_index_array():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block_bytes = 8 * DRAW_BLOCK_SAMPLES * n * (n - 1)
     assert drawn.nbytes == 8 * samples * n * k
     assert retained <= 1.05 * drawn.nbytes
-    assert peak <= drawn.nbytes + 2.5 * block_bytes
+    assert peak <= drawn.nbytes + (8 + 2) * samples * n
 
 
 @pytest.mark.parametrize("n, k, d, cap, samples", [
@@ -296,7 +299,7 @@ def test_kernel_is_bit_identical_to_the_per_anchor_loop(seed, n, k, d, cap):
         if i != j:
             assert np.array_equal(losshat_pair(batch, i, j, k, cap), coeff[i, j] * batch.queries[i])
 
-    for samples in (2, 3 * DRAW_BLOCK_SAMPLES // 2):
+    for samples in (2, 1536):
         rng = RngState(seed=seed)
         drawn = contrastive._draw_subsets(rng.generator(), samples, n, k)
         loss, tilde, hat, _, losses = _per_anchor_reference(batch, lambda i: drawn[:, i])
