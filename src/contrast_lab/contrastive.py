@@ -37,16 +37,16 @@ class EncodedBatch:
     def n(self) -> int:
         return self.queries.shape[0]
 
+    @staticmethod
+    def from_traces(qt: BatchTrace, kt: BatchTrace) -> "EncodedBatch":
+        return EncodedBatch(queries=qt.outputs.T.copy(), keys=kt.outputs.T.copy(),
+                            query_trace=qt, key_trace=kt)
+
 
 def encode_batch(qp: Params, kp: Params, data: Dataset) -> EncodedBatch:
     if qp.shape != kp.shape:
         raise ShapeError("query and key encoders must share one shape")
-    qt = forward_batch(qp, data.points)
-    kt = forward_batch(kp, data.points)
-    return EncodedBatch(
-        queries=qt.outputs.T.copy(), keys=kt.outputs.T.copy(),
-        query_trace=qt, key_trace=kt,
-    )
+    return EncodedBatch.from_traces(forward_batch(qp, data.points), forward_batch(kp, data.points))
 
 
 @dataclass(frozen=True)

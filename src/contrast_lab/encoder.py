@@ -11,7 +11,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class Params:
 
     def shifted(self, direction: Iterable[np.ndarray], rho: float) -> "Params":
         """The network with every weight matrix moved by rho times its entry
-        of ``direction``."""
+        of ``direction`` (the gradient step; probes use ``forward_shifted``)."""
         return Params(shape=self.shape,
                       weights=tuple(w + rho * g for w, g in zip(self.weights, direction)))
 
@@ -168,13 +168,22 @@ class BatchTrace:
         """The activation pattern: every mask, flattened layer by layer."""
         return np.concatenate([m.ravel() for m in self.masks])
 
+    def columns(self, cols: slice) -> "BatchTrace":
+        """The trace of the inputs in columns ``cols``, as views."""
+        return BatchTrace(hidden=tuple(h[:, cols] for h in self.hidden),
+                          masks=tuple(m[:, cols] for m in self.masks), outputs=self.outputs[:, cols])
 
-def forward_batch(p: Params, xs: np.ndarray) -> BatchTrace:
-    """xs: (n, b) rows of inputs."""
+
+def _inputs(p: Params, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != p.shape.b:
         raise ShapeError(f"inputs must be (n, {p.shape.b}), got {xs.shape}")
-    h = xs.T
+    return xs
+
+
+def forward_batch(p: Params, xs: np.ndarray) -> BatchTrace:
+    """xs: (n, b) rows of inputs."""
+    h = _inputs(p, xs).T
     hidden, masks = [], []
     for l in range(p.shape.L):
         pre = p.weights[l] @ h
@@ -183,6 +192,36 @@ def forward_batch(p: Params, xs: np.ndarray) -> BatchTrace:
         hidden.append(h)
         masks.append(mask)
     return BatchTrace(hidden=tuple(hidden), masks=tuple(masks), outputs=p.weights[p.shape.L] @ h)
+
+
+def forward_shifted(p: Params, direction: Sequence[np.ndarray], scales: Sequence[float],
+                    xs: np.ndarray) -> BatchTrace:
+    """Forward passes of ``xs`` through ``p.shifted(direction, s)`` for every
+    scale s, stacked: column block j (columns j n to (j+1) n - 1, n = len(xs))
+    is the pass at the j-th scale.  Each layer computes W H + (U H) * s over
+    all stacked columns, so no shifted weight matrix is built; the values
+    differ from the shifted net's by the rounding of the two products.
+
+    The layer loop is a copy of ``forward_batch``'s: sharing one through a
+    per-layer callback would slow the finite-difference oracle's tens of
+    thousands of small ``forward_batch`` calls."""
+    xs = _inputs(p, xs)
+    s = np.repeat(np.asarray(scales, dtype=np.float64), len(xs))
+
+    def layer(l: int, h: np.ndarray) -> np.ndarray:
+        pre = p.weights[l] @ h
+        pre += (direction[l] @ h) * s
+        return pre
+
+    h = np.tile(xs.T, len(scales))
+    hidden, masks = [], []
+    for l in range(p.shape.L):
+        pre = layer(l, h)
+        mask = pre >= 0.0
+        h = np.where(mask, pre, 0.0)
+        hidden.append(h)
+        masks.append(mask)
+    return BatchTrace(hidden=tuple(hidden), masks=tuple(masks), outputs=layer(p.shape.L, h))
 
 
 def backprop_matrix(p: Params, trace: ForwardTrace, l: int) -> np.ndarray:
@@ -203,8 +242,10 @@ def backward_batch(p: Params, masks: tuple[np.ndarray, ...], v: np.ndarray,
     """The masked back-propagation chain, one column per sample: yields
     g = W_top^T v, then g = W_l^T (masks[l] * g) for l = top-1 down to
     ``bottom``.  Column i of masks[l] is sample i's activation pattern."""
-    g = p.weights[top].T @ v
+    # numpy runs W^T g as a transposed GEMM; (g^T W)^T is the same product,
+    # bit for bit, as a faster row-major one
+    g = np.ascontiguousarray((v.T @ p.weights[top]).T)
     yield g
     for l in range(top - 1, bottom - 1, -1):
-        g = p.weights[l].T @ np.where(masks[l], g, 0.0)
+        g = np.ascontiguousarray((np.where(masks[l], g, 0.0).T @ p.weights[l]).T)
         yield g

@@ -16,6 +16,8 @@ from .errors import ConvergenceError, ShapeError
 from .rng import RngState
 
 _POW53 = float(1 << 53)
+# Entries per block of ``gaussian_matrix``'s in-place transform.
+GAUSSIAN_BLOCK = 65_536
 
 
 def gaussian_matrix(rng: RngState, rows: int, cols: int, variance: float) -> np.ndarray:
@@ -31,10 +33,19 @@ def gaussian_matrix(rng: RngState, rows: int, cols: int, variance: float) -> np.
         raise ValueError(f"variance must be nonnegative, got {variance}")
     if variance == 0:
         return np.zeros((rows, cols))
-    gen = rng.generator()
-    bits = gen.integers(0, 1 << 53, size=rows * cols, dtype=np.uint64)
-    u = (bits.astype(np.float64) + 0.5) / _POW53
-    return (math.sqrt(variance) * ndtri(u)).reshape(rows, cols)
+    bits = rng.generator().integers(0, 1 << 53, size=rows * cols, dtype=np.uint64)
+    # The uniforms' buffer becomes the output: block by block, each entry is
+    # replaced by sqrt(variance) * ndtri((bits + 0.5) / 2^53), the same
+    # operations (so the same bits) as the one-shot transform.
+    out = bits.view(np.float64)
+    scale = math.sqrt(variance)
+    for lo in range(0, out.size, GAUSSIAN_BLOCK):
+        u = out[lo:lo + GAUSSIAN_BLOCK]
+        np.add(bits[lo:lo + GAUSSIAN_BLOCK], 0.5, out=u)
+        u /= _POW53
+        ndtri(u, out=u)
+        u *= scale
+    return out.reshape(rows, cols)
 
 
 # Step cap of every power iteration; reaching it raises ConvergenceError.

@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .contrastive import HyperParams, encode_batch, grad_params, log_partition, total_loss_exact
+from .contrastive import EncodedBatch, HyperParams, grad_params, log_partition, total_loss_exact
 from .data import Dataset, min_pairwise_distance
-from .encoder import (BatchTrace, Params, Shape, backward_batch, forward_batch, init_params,
-                      sum_of_squares)
+from .encoder import (BatchTrace, Params, Shape, backward_batch, forward_batch, forward_shifted,
+                      init_params, sum_of_squares)
 from .errors import EvaluationError
 from .linalg import power_iteration, spectral_norm
 from .rng import RngState
@@ -314,6 +314,18 @@ def _unit_frobenius_directions(qp: Params, kp: Params, rng: RngState) -> tuple[l
     return [a / total for a in u], [a / total for a in v]
 
 
+def _perturbed_losses(qp: Params, kp: Params, u: list, v: list, data: Dataset,
+                      hp: HyperParams, rhos: tuple[float, ...]) -> list[float]:
+    """L(W + rho U, theta + rho V) at every rho, from one stacked forward
+    pass per net."""
+    qt = forward_shifted(qp, u, rhos, data.points)
+    kt = forward_shifted(kp, v, rhos, data.points)
+    n = data.n
+    return [total_loss_exact(EncodedBatch.from_traces(qt.columns(cols), kt.columns(cols)),
+                             hp.k, cap=hp.enumeration_cap)
+            for cols in (slice(j * n, (j + 1) * n) for j in range(len(rhos)))]
+
+
 def smoothness_probe(
     qp: Params, kp: Params, data: Dataset, hp: HyperParams,
     rhos: tuple[float, ...], rng: RngState, n_directions: int = 6,
@@ -335,9 +347,7 @@ def smoothness_probe(
         u, v = _unit_frobenius_directions(qp, kp, rng.child(f"dir-{di}"))
         inner = sum(float(np.sum(g * a)) for g, a in zip(base.grad_w.weights, u))
         inner += sum(float(np.sum(g * a)) for g, a in zip(base.grad_theta.weights, v))
-        for ri, rho in enumerate(rhos):
-            val = total_loss_exact(encode_batch(qp.shifted(u, rho), kp.shifted(v, rho), data),
-                                   hp.k, cap=hp.enumeration_cap)
+        for ri, (rho, val) in enumerate(zip(rhos, _perturbed_losses(qp, kp, u, v, data, hp, rhos))):
             if not math.isfinite(val):
                 raise EvaluationError(f"perturbed loss non-finite at rho={rho}")
             residuals[di, ri] = val - base.loss - rho * inner
@@ -460,7 +470,7 @@ def perturbation_probe(
     """
     if list(omegas) != sorted(omegas) or min(omegas) < 0:
         raise ValueError("omegas must be non-negative and ascending")
-    xs = data.points
+    xs, n = data.points, data.n
     base = forward_batch(qp, xs)
     base_pattern = base.pattern
     flips = np.zeros((n_directions, len(omegas)))
@@ -469,8 +479,10 @@ def perturbation_probe(
     for di in range(n_directions):
         gen = rng.child(f"dir-{di}").generator()
         dirs = [_unit_spectral_direction(gen, w.shape) for w in qp.weights]
-        for oi, omega in enumerate(omegas):
-            t = forward_batch(qp.shifted(dirs, omega), xs)
+        stacked = forward_shifted(qp, dirs, omegas, xs)
+        del dirs  # before the next direction's draw: one set alive at a time
+        for oi in range(len(omegas)):
+            t = stacked.columns(slice(oi * n, (oi + 1) * n))
             flips[di, oi] = float(np.mean(t.pattern ^ base_pattern))
             out_drift[di, oi] = float(
                 np.max(np.linalg.norm(t.outputs - base.outputs, axis=0))

@@ -27,3 +27,46 @@ def small_nets(small_shape):
 @pytest.fixture
 def gen():
     return np.random.default_rng(123)
+
+
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _gamma(j: int) -> float:
+    return j * UNIT_ROUNDOFF / (1 - j * UNIT_ROUNDOFF)
+
+
+def _shifted_pass_bounds(p, direction, s, xs):
+    """Per layer of ``p.shifted(direction, s)`` on ``xs``: its pre-activation
+    and an entrywise bound on how far ``forward_shifted``'s may sit from it.
+
+    With A = W + sU and K the inner dimension, the shifted net rounds each
+    entry of A and then a K-term dot product, so it is within
+    gamma_{K+1} |A| |h| of A h (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.5).  ``forward_shifted`` rounds W h, U h, the
+    product by s and the sum, so it is within gamma_{K+2} M |h| of A h, where
+    M = |W| + |s| |U| >= |A|.  From one input the two differ by at most
+    2 gamma_{K+2} M |h|.  Inputs that already differ by e add M e, and the
+    rounding terms then see |h| + e.  ReLU is 1-Lipschitz in each entry, so
+    the bound on a layer's input is the bound on the pre-activation below.
+    """
+    h = np.asarray(xs, dtype=np.float64).T
+    e = np.zeros_like(h)
+    layers = []
+    for w, a, g in zip(p.weights, p.shifted(direction, s).weights, direction):
+        pre = a @ h
+        e = (np.abs(w) + abs(s) * np.abs(g)) @ (e + 2 * _gamma(w.shape[1] + 2) * (np.abs(h) + e))
+        layers.append((pre, e))
+        h = np.where(pre >= 0.0, pre, 0.0)
+    return layers
+
+
+@pytest.fixture(scope="session")
+def shifted_pass_bounds():
+    return _shifted_pass_bounds
+
+
+@pytest.fixture(scope="session")
+def gamma():
+    """gamma_j = j u / (1 - j u), the bound on j roundings' relative error."""
+    return _gamma

@@ -9,6 +9,7 @@ from contrast_lab.encoder import (
     backprop_matrix,
     backward_batch,
     forward_batch,
+    forward_shifted,
     forward_trace,
     init_params,
     sum_of_squares,
@@ -103,6 +104,41 @@ def test_backward_batch_matches_backprop_matrix(L, small_data, gen):
         for l, g in zip(range(L, -1, -1), yields):
             want = backprop_matrix(p, t, l).T @ v[:, i]
             assert np.linalg.norm(g[:, i] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", [64, 512])
+@pytest.mark.parametrize("cols", [1, 8, 64])  # 64 is the backward-chain ratios' width
+def test_backward_batch_is_bit_identical_to_transposed_products(m, cols):
+    p = init_params(RngState(seed=m), Shape(L=3, m=m, d=16, b=8))
+    gen = np.random.default_rng(cols)
+    masks = tuple(gen.random((m, cols)) < 0.5 for _ in range(3))
+    v = gen.standard_normal((16, cols))
+    want = [p.weights[3].T @ v]
+    for l in (2, 1, 0):
+        want.append(p.weights[l].T @ np.where(masks[l], want[-1], 0.0))
+    got = list(backward_batch(p, masks, v, 3, 0))
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("m", [64, 512])
+def test_forward_shifted_matches_the_shifted_nets(m, small_data, shifted_pass_bounds):
+    p = init_params(RngState(seed=31), Shape(L=3, m=m, d=8, b=small_data.b))
+    direction = init_params(RngState(seed=37), p.shape).weights
+    scales = (0.0, 1e-3, 0.1, -0.5, 1.0)
+    n = small_data.n
+    stacked = forward_shifted(p, direction, scales, small_data.points)
+    assert stacked.outputs.shape == (8, n * len(scales))
+    for j, s in enumerate(scales):
+        got = stacked.columns(slice(j * n, (j + 1) * n))
+        want = forward_batch(p.shifted(direction, s), small_data.points)
+        *hidden, (_, out_bound) = shifted_pass_bounds(p, direction, s, small_data.points)
+        assert np.all(np.abs(got.outputs - want.outputs) <= out_bound)
+        for l, (pre, bound) in enumerate(hidden):
+            assert np.all(np.abs(got.hidden[l] - want.hidden[l]) <= bound)
+            decided = np.abs(pre) > bound  # the sign of these cannot differ
+            assert decided.mean() > 0.99
+            assert np.array_equal(got.masks[l][decided], want.masks[l][decided])
 
 
 def test_bytes_round_trip_is_bit_exact(small_nets):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 
 from contrast_lab.errors import ConvergenceError, ShapeError
 from contrast_lab.linalg import (
+    GAUSSIAN_BLOCK,
     gaussian_matrix,
     power_iteration,
     spectral_norm,
@@ -26,6 +28,16 @@ class TestGaussianMatrix:
         a = gaussian_matrix(RngState(seed=9), 8, 8, 1.0)
         b = gaussian_matrix(RngState(seed=9), 8, 8, 1.0)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("rows, cols", [(300, 301), (256, 256)])
+    def test_blocked_transform_is_bit_identical_to_one_shot(self, rows, cols):
+        # 300 x 301 ends on a partial block; 256 x 256 is exactly one block
+        assert GAUSSIAN_BLOCK == 256 * 256
+        bits = RngState(seed=4).generator().integers(0, 1 << 53, size=rows * cols, dtype=np.uint64)
+        want = np.sqrt(0.3) * ndtri((bits.astype(np.float64) + 0.5) / 2.0**53)
+        got = gaussian_matrix(RngState(seed=4), rows, cols, 0.3)
+        assert got.shape == (rows, cols)
+        assert np.array_equal(got.ravel(), want)
 
     def test_bad_shape(self):
         with pytest.raises(ShapeError):

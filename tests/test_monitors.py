@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from contrast_lab import Shape, generate_separated, init_params, monitors
-from contrast_lab.contrastive import DEFAULT_ENUMERATION_CAP, HyperParams, total_loss_exact
+from contrast_lab.contrastive import (DEFAULT_ENUMERATION_CAP, HyperParams, encode_batch,
+                                     total_loss_exact)
 from contrast_lab.encoder import Params, forward_batch
 from contrast_lab.errors import ConvergenceError
 from contrast_lab.monitors import (
@@ -244,6 +246,71 @@ class TestSmoothnessProbe:
         monkeypatch.setattr(monitors, "total_loss_exact", spy)
         smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3), root.child("sp"), n_directions=1)
         assert caps == [hp.enumeration_cap] * 2
+
+
+def test_perturbed_losses_match_the_shifted_nets(setup, shifted_pass_bounds, gamma):
+    """Each stacked loss is within a derived bound of ``total_loss_exact`` on
+    the shifted nets.
+
+    The two runs' outputs differ by at most the bounds e_q and e_k of
+    ``shifted_pass_bounds``.  A logit q_i . (k_j - k_i) then moves by at most
+    |e_q_i| (|k_j - k_i| + |e_k_j| + |e_k_i|) + |q_i| (|e_k_j| + |e_k_i|), and
+    log(1 + sum exp) is 1-Lipschitz in the largest logit change (its gradient
+    is non-negative and sums to below 1), as is a mean of such losses.  Each
+    evaluation also rounds: a logit by gamma_{d+1} |q_i| . (|k_j| + |k_i|),
+    the row shift, the k+1 exponentials, their sum and the log by
+    (k + 5 + 2 Lambda) u, with Lambda the largest logit magnitude; the mean
+    over C(n-1, k) positive losses, the sum over n anchors and the division
+    together add at most gamma_{C+n+2} times the loss.  First order in u.
+    """
+    root, data, qp, kp, hp = setup
+    unit = np.finfo(np.float64).eps / 2
+    n, d = data.n, qp.shape.d
+    subsets = math.comb(n - 1, hp.k)
+    rhos = (0.0, 1e-3, 0.1)
+    u, v = monitors._unit_frobenius_directions(qp, kp, root.child("pl"))
+    got = monitors._perturbed_losses(qp, kp, u, v, data, hp, rhos)
+    assert len(got) == len(rhos)
+    for rho, loss in zip(rhos, got):
+        batch = encode_batch(qp.shifted(u, rho), kp.shifted(v, rho), data)
+        want = total_loss_exact(batch, hp.k, cap=hp.enumeration_cap)
+        e_q = shifted_pass_bounds(qp, u, rho, data.points)[-1][1].T
+        e_k = shifted_pass_bounds(kp, v, rho, data.points)[-1][1].T
+        q, k = batch.queries, batch.keys
+        eq, ek = np.linalg.norm(e_q, axis=1), np.linalg.norm(e_k, axis=1)
+        diff = np.linalg.norm(k[None, :] - k[:, None], axis=2)
+        moved = (eq[:, None] * (diff + ek[None, :] + ek[:, None])
+                 + np.linalg.norm(q, axis=1)[:, None] * (ek[None, :] + ek[:, None]))
+        abs_q, abs_k = np.abs(q) + e_q, np.abs(k) + e_k
+        logit_size = abs_q @ abs_k.T + np.sum(abs_q * abs_k, axis=1)[:, None]
+        off = ~np.eye(n, dtype=bool)
+        rounding = (gamma(d + 1) * logit_size[off].max()
+                    + (hp.k + 5 + 2 * logit_size[off].max()) * unit)
+        tol = (moved[off].max() + 2 * rounding
+               + gamma(subsets + n + 2) * (abs(want) + abs(loss)))
+        assert abs(loss - want) <= tol
+
+
+def test_perturbation_probe_holds_one_direction_set():
+    """Traced peak: one direction set, two of its largest layers (a draw and
+    its normalised copy) and two stacked traces (the last direction's and the
+    one being built).  Drawing a set while the last one lives, or building
+    shifted weight copies, needs a second set."""
+    L, m, n = 4, 512, 6
+    root = RngState(seed=3)
+    data = generate_separated(root.child("data"), n, 8, 0.5)
+    p = init_params(root.child("p"), Shape(L=L, m=m, d=8, b=8))
+    omegas = monitors.PERTURBATION_OMEGAS
+    tracemalloc.start()
+    try:
+        perturbation_probe(p, data, omegas, root.child("pp"), n_directions=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    layers = sorted((w.nbytes for w in p.weights), reverse=True)
+    columns = n * len(omegas)
+    stacked = L * m * columns * (8 + 1) + p.shape.d * columns * 8  # hidden, masks, outputs
+    assert peak <= sum(layers) + layers[0] + layers[1] + 2 * stacked
 
 
 @pytest.mark.parametrize("probe", ["smoothness", "perturbation"])

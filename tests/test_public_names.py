@@ -2,7 +2,8 @@
 code in the package, the benchmark's traced run, or an acceptance test that
 uses it as an independent oracle or measurement.  The oracles reach none of
 the production paths they certify.  No module re-opens an array for writing
-once it has been frozen.  In ``monitors`` only ``_verdict`` fits a line."""
+once it has been frozen.  In ``monitors`` only ``_verdict`` fits a line, and
+no probe builds a shifted copy of the weights."""
 
 import ast
 import functools
@@ -80,6 +81,11 @@ def test_no_module_reopens_frozen_arrays():
         and any(isinstance(t, ast.Attribute) and t.attr == "writeable" for t in node.targets)
     ]
     assert not reopened, f"writeable = True at {reopened}"
+
+
+def test_probes_build_no_shifted_weights():
+    # the probes read perturbed passes from encoder.forward_shifted
+    assert "shifted" not in _used_names(_modules()["monitors"])
 
 
 def test_only_verdict_fits_in_monitors():
