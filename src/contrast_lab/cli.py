@@ -103,7 +103,7 @@ def _hyperparams(cfg: ExperimentConfig, delta: float) -> HyperParams:
         eta = gamma = theoretical_step_size(cfg.n, cfg.k, cfg.L, cfg.m, cfg.d, delta, cfg.epsilon)
     else:
         eta, gamma = cfg.eta, cfg.gamma
-    return HyperParams(k=cfg.k, eta=eta, gamma=gamma, T=cfg.T, epsilon=cfg.epsilon,
+    return HyperParams(k=cfg.k, eta=eta, gamma=gamma, T=cfg.T,
                        mc_samples=cfg.mc_samples, enumeration_cap=cfg.enumeration_cap)
 
 

@@ -311,7 +311,9 @@ def _unit_frobenius_directions(qp: Params, kp: Params, rng: RngState) -> tuple[l
     u = [gen.standard_normal(w.shape) for w in qp.weights]
     v = [gen.standard_normal(w.shape) for w in kp.weights]
     total = math.sqrt(sum_of_squares(u + v))
-    return [a / total for a in u], [a / total for a in v]
+    for a in u + v:
+        a /= total
+    return u, v
 
 
 def _perturbed_losses(qp: Params, kp: Params, u: list, v: list, data: Dataset,
@@ -337,7 +339,8 @@ def smoothness_probe(
     and fits log|R| against log rho.  A plain Lipschitz-smooth loss would give
     exponent 2; activation kinks contribute an intermediate-power error term,
     so the fitted exponent should land in (1, 2], and at least 1.25 with the
-    default sweep.
+    default sweep.  At its peak it holds the base gradient set and one
+    direction set of both nets, their stacked traces and one layer's product.
     """
     if list(rhos) != sorted(rhos) or min(rhos) < 0:
         raise ValueError("rhos must be non-negative and ascending")
@@ -351,6 +354,7 @@ def smoothness_probe(
             if not math.isfinite(val):
                 raise EvaluationError(f"perturbed loss non-finite at rho={rho}")
             residuals[di, ri] = val - base.loss - rho * inner
+        del u, v  # before the next direction's draw: one set alive at a time
     mean_abs = np.abs(residuals).mean(axis=0)
     fits, passed, notes = _verdict(rhos, {"abs_residual_vs_rho": mean_abs},
                                    {"abs_residual_vs_rho": SMOOTHNESS_EXPONENT_BAND},
@@ -445,11 +449,6 @@ def descent_check(trace: TrainTrace, n: int, d: int, m: int, delta: float,
 # perturbation response
 
 
-def _unit_spectral_direction(gen: np.random.Generator, shape: tuple) -> np.ndarray:
-    g = gen.standard_normal(shape)
-    return g / spectral_norm(g, tol=1e-4)
-
-
 def perturbation_probe(
     qp: Params, data: Dataset, omegas: tuple[float, ...],
     rng: RngState, n_directions: int = 8,
@@ -466,19 +465,21 @@ def perturbation_probe(
     at 0), so the flip exponent is 1.  The omega^{2/3} of Allen-Zhu, Li &
     Song (arXiv:1811.03962, Lemma 8.2) is a worst case over all perturbations
     of spectral norm omega, reached only by directions aimed at the units
-    nearest their kinks; it is reported in the notes, not checked.
+    nearest their kinks; it is reported in the notes, not checked.  At its
+    peak it holds one direction set of the query net, two stacked traces and
+    one layer's products.
     """
     if list(omegas) != sorted(omegas) or min(omegas) < 0:
         raise ValueError("omegas must be non-negative and ascending")
     xs, n = data.points, data.n
     base = forward_batch(qp, xs)
     base_pattern = base.pattern
-    flips = np.zeros((n_directions, len(omegas)))
-    out_drift = np.zeros((n_directions, len(omegas)))
-    hid_drift = np.zeros((n_directions, len(omegas)))
+    flips, out_drift, hid_drift = (np.zeros((n_directions, len(omegas))) for _ in range(3))
     for di in range(n_directions):
         gen = rng.child(f"dir-{di}").generator()
-        dirs = [_unit_spectral_direction(gen, w.shape) for w in qp.weights]
+        dirs = [gen.standard_normal(w.shape) for w in qp.weights]
+        for g in dirs:
+            g /= spectral_norm(g, tol=1e-4)
         stacked = forward_shifted(qp, dirs, omegas, xs)
         del dirs  # before the next direction's draw: one set alive at a time
         for oi in range(len(omegas)):
@@ -491,9 +492,7 @@ def perturbation_probe(
                 float(np.max(np.linalg.norm(h - h0, axis=0)))
                 for h, h0 in zip(t.hidden, base.hidden)
             )
-    mean_flips = flips.mean(axis=0)
-    mean_out = out_drift.mean(axis=0)
-    mean_hid = hid_drift.mean(axis=0)
+    mean_flips, mean_out, mean_hid = (a.mean(axis=0) for a in (flips, out_drift, hid_drift))
     series = {"flip_fraction_vs_omega": mean_flips, "output_drift_vs_omega": mean_out,
               "hidden_drift_vs_omega": mean_hid}
     bands = {"flip_fraction_vs_omega": FLIP_SLOPE_BAND, "output_drift_vs_omega": DRIFT_SLOPE_BAND}

@@ -320,12 +320,16 @@ def test_criterion_11_artifact_determinism(tmp_path):
         "seed": 1, "T": 20, "eta": 0.0625, "gamma": 0.0625,
     }))
     pairs = []
-    # two widths give no gradient verdict, so that run exits inconclusive
+    # two widths give no gradient verdict, and at m=64 the smallest omegas flip
+    # no mask, so the perturbation probe fits no flip law: both runs exit inconclusive
     for label, argv, expected, files in (
         ("train", ["train"], EXIT_PASS, ["trace.csv", "plot_data.csv", "summary.json",
                                          "params_query.bin", "params_key.bin"]),
+        ("verify", ["verify"], EXIT_PASS, ["verify.json"]),
         ("gradient", ["probe", "--probes", "gradient", "--m-grid", "32,64"],
          EXIT_INCONCLUSIVE, ["probe_gradient.json"]),
+        ("probes", ["probe", "--probes", "init,smoothness,perturbation"], EXIT_INCONCLUSIVE,
+         ["probe_init.json", "probe_smoothness.json", "probe_perturbation.json"]),
         ("ce", ["probe", "--probes", "ce"], EXIT_PASS, ["probe_ce.json"]),
     ):
         for run in ("a", "b"):
@@ -341,5 +345,5 @@ def test_criterion_11_artifact_determinism(tmp_path):
     ok = not mismatched
     assert _report(
         "criterion 11 (byte-identical artifacts on re-run)", ok,
-        f"{len(pairs)} artifact files compared across train/probe, "
+        f"{len(pairs)} artifact files compared across train/verify/probe, "
         f"mismatches: {mismatched or 'none'}")

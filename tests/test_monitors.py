@@ -291,11 +291,46 @@ def test_perturbed_losses_match_the_shifted_nets(setup, shifted_pass_bounds, gam
         assert abs(loss - want) <= tol
 
 
+def _stacked_trace_bytes(p: Params, columns: int) -> int:
+    """Hidden activations, masks and outputs of one stacked pass."""
+    return p.shape.L * p.shape.m * columns * (8 + 1) + p.shape.d * columns * 8
+
+
+def test_smoothness_probe_holds_one_direction_set():
+    """Traced peak: the base gradient set and one direction set of both nets,
+    plus what either phase of a direction adds to them.  The inner product
+    <grad, (U, V)> builds one layer's product g * a; the stacked pass holds
+    both nets' stacked traces and four per-layer temporaries of m x columns
+    floats (0.7 MB here, below one 2 MB layer).  So the bound adds the largest
+    layer and both traces.  Keeping the last direction alive through the next
+    draw, or normalising into copies, needs a third set."""
+    L, m, n = 4, 512, 6
+    root = RngState(seed=3)
+    data = generate_separated(root.child("data"), n, 8, 0.5)
+    shape = Shape(L=L, m=m, d=8, b=8)
+    qp, kp = init_params(root.child("q"), shape), init_params(root.child("k"), shape)
+    hp = HyperParams(k=2, eta=0.05, gamma=0.05, T=1)
+    rhos = monitors.SMOOTHNESS_RHOS
+    tracemalloc.start()
+    try:
+        smoothness_probe(qp, kp, data, hp, rhos, root.child("sp"), n_directions=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    joint = sum(w.nbytes for w in qp.weights + kp.weights)
+    largest = max(w.nbytes for w in qp.weights + kp.weights)
+    traces = 2 * _stacked_trace_bytes(qp, n * len(rhos))
+    assert peak <= 2 * joint + largest + traces
+
+
 def test_perturbation_probe_holds_one_direction_set():
-    """Traced peak: one direction set, two of its largest layers (a draw and
-    its normalised copy) and two stacked traces (the last direction's and the
-    one being built).  Drawing a set while the last one lives, or building
-    shifted weight copies, needs a second set."""
+    """Traced peak: one direction set, normalised in place, and two stacked
+    traces (the last direction's and the one being built), plus the stacked
+    pass's per-layer temporaries: the last layer's pre-activation, W H, U H
+    and (U H) * s, each m x columns floats.  Besides them live the unshifted
+    pass (n columns) and numpy's ufunc buffer of ``np.getbufsize()`` floats
+    for the broadcast scales.  Drawing a set while the last one lives,
+    normalising into a copy, or building shifted weight copies exceeds it."""
     L, m, n = 4, 512, 6
     root = RngState(seed=3)
     data = generate_separated(root.child("data"), n, 8, 0.5)
@@ -307,10 +342,11 @@ def test_perturbation_probe_holds_one_direction_set():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    layers = sorted((w.nbytes for w in p.weights), reverse=True)
     columns = n * len(omegas)
-    stacked = L * m * columns * (8 + 1) + p.shape.d * columns * 8  # hidden, masks, outputs
-    assert peak <= sum(layers) + layers[0] + layers[1] + 2 * stacked
+    temporaries = 4 * m * columns * 8
+    unshifted = _stacked_trace_bytes(p, n)
+    assert peak <= (sum(w.nbytes for w in p.weights) + 2 * _stacked_trace_bytes(p, columns)
+                    + temporaries + unshifted + np.getbufsize() * 8)
 
 
 @pytest.mark.parametrize("probe", ["smoothness", "perturbation"])
