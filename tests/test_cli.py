@@ -277,9 +277,10 @@ class TestCommands:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_PASS
 
     def test_verify_fails_a_biased_sampler(self, tmp_path, monkeypatch):
-        # every draw takes the first k others of each anchor
-        monkeypatch.setattr(contrastive, "_draw_subsets",
-                            lambda gen, samples, n, k: np.tile(np.arange(k), (samples, n, 1)))
+        # every draw takes row 0, the first k others of each anchor: at verify's
+        # n <= 6 every anchor has fewer subsets than draws, so the row draw runs
+        monkeypatch.setattr(contrastive, "_draw_rows",
+                            lambda gen, samples, n, subsets: np.zeros((samples, n), dtype=np.intp))
         out = tmp_path / "v"
         assert main(["verify", "--config", _write_config(tmp_path), "--out", str(out)]) == EXIT_FAIL
         payload = json.loads((out / "verify.json").read_text())

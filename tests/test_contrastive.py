@@ -192,6 +192,21 @@ def test_draw_is_uniform_over_the_subsets(seed, n, k):
         assert np.sum((counts - expected) ** 2) / expected <= threshold, anchor
 
 
+@pytest.mark.parametrize("seed, n, k", [(0, 6, 3), (3, 9, 2), (4, 10, 3)])
+def test_row_draw_is_uniform_over_the_rows(seed, n, k):
+    """The row draw's counts over each anchor's C(n-1, k) rows pass the same
+    chi-square test.  A draw that never takes the last row fails it."""
+    samples, subsets = 40_000, math.comb(n - 1, k)
+    rows = contrastive._draw_rows(np.random.default_rng(seed), samples, n, subsets)
+    assert rows.shape == (samples, n)
+    assert rows.min() >= 0 and rows.max() <= subsets - 1
+    threshold = scipy.stats.chi2.isf(UNIFORMITY_FALSE_FAILURE_P, subsets - 1)
+    expected = samples / subsets
+    for anchor in range(n):
+        counts = np.bincount(rows[:, anchor], minlength=subsets)
+        assert np.sum((counts - expected) ** 2) / expected <= threshold, anchor
+
+
 def test_draw_keeps_only_the_index_array():
     """At n=20, k=3 and 20,000 samples the draw retains its 9.6 MB index array
     alone and peaks 13.2 MB, one int64 and one bool (samples, n) array above
@@ -209,15 +224,56 @@ def test_draw_keeps_only_the_index_array():
     assert peak <= drawn.nbytes + (8 + 2) * samples * n
 
 
+def test_floyd_path_fails_a_biased_draw(gen, monkeypatch):
+    """At n=10, k=4 an anchor has C(9, 4) = 126 subsets, more than 100 draws,
+    so the estimate takes the Floyd draw and never the row draw.  It lies
+    within the z of a 1e-6 two-sided false-failure chance of the exact loss,
+    and a draw that always takes each anchor's first k others does not."""
+    n, k, samples = 10, 4, 100
+    batch = random_batch(gen, n, 3)
+    exact = total_loss_exact(batch, k)
+    z = scipy.stats.norm.isf(1e-6 / 2)
+
+    def stderrs_off():
+        est, stderr = total_loss_mc(batch, k, RngState(seed=8), samples)
+        return abs(est - exact) / max(stderr, 1e-30)
+
+    def no_rows(*args):
+        raise AssertionError("the row draw ran above its rule")
+
+    monkeypatch.setattr(contrastive, "_draw_rows", no_rows)
+    assert stderrs_off() <= z
+    monkeypatch.setattr(contrastive, "_draw_subsets",
+                        lambda gen, samples, n, k: np.tile(np.arange(k), (samples, n, 1)))
+    assert stderrs_off() > z
+
+
+def test_log_partition_takes_the_axis_maximum():
+    """log_partition's slice-by-slice maximum gives the bits of the axis
+    maximum, for k = 1 ... 19, on rows with ties, all-negative rows (where the
+    shift is 0) and logits large enough that an unshifted exp overflows."""
+    gen = np.random.default_rng(19)
+    for k in range(1, 20):
+        a = 30 * gen.standard_normal((500, 3, k))
+        a[:50] = np.round(a[:50] / 10)  # ties
+        a[50:100] = -np.abs(a[50:100])
+        a[100:150] *= 40
+        hi = np.maximum(a.max(axis=-1), 0.0)
+        want = hi + np.log(np.exp(a - hi[..., None]).sum(axis=-1) + np.exp(-hi))
+        assert np.array_equal(contrastive.log_partition(a), want), k
+
+
 @pytest.mark.parametrize("n, k, d, cap, samples", [
     (24, 6, 4, DEFAULT_ENUMERATION_CAP, None),  # three groups of up to 9 anchors
     (24, 6, 4, math.comb(23, 6), None),  # one anchor per group
-    (20, 3, 8, None, 20_000),
+    (20, 3, 8, None, 20_000),  # C(19, 3) = 969 <= samples: the table of subset losses
+    (20, 3, 8, None, 900),  # samples < C(19, 3): the Floyd draw
 ])
 def test_kernel_peak_stays_within_four_logit_tables(n, k, d, cap, samples):
     """A call holds one gathered logit table at a time -- a group's in exact
-    mode, the whole draw in Monte-Carlo mode -- beside its flat index, one
-    shifted copy and per-subset vectors k times smaller."""
+    mode, the whole draw in Monte-Carlo mode, or the table of every subset,
+    never larger than the draw -- beside its flat index, one shifted copy and
+    per-subset vectors k times smaller."""
     batch = random_batch(np.random.default_rng(n), n, d)
     if samples is None:
         subsets = math.comb(n - 1, k)
@@ -299,9 +355,16 @@ def test_kernel_is_bit_identical_to_the_per_anchor_loop(seed, n, k, d, cap):
         if i != j:
             assert np.array_equal(losshat_pair(batch, i, j, k, cap), coeff[i, j] * batch.queries[i])
 
+    # Each regime's own sampler: Floyd draws when an anchor has more subsets
+    # than draws (samples=2 unless C(n-1, k) = 1), rows of rel when it has not
+    # (samples=1536 everywhere here), so the losses gathered from total_loss_mc's
+    # table must equal the per-draw losses of the same rows.
     for samples in (2, 1536):
         rng = RngState(seed=seed)
-        drawn = contrastive._draw_subsets(rng.generator(), samples, n, k)
+        if len(rel) <= samples:
+            drawn = rel[contrastive._draw_rows(rng.generator(), samples, n, len(rel))]
+        else:
+            drawn = contrastive._draw_subsets(rng.generator(), samples, n, k)
         loss, tilde, hat, _, losses = _per_anchor_reference(batch, lambda i: drawn[:, i])
         got_loss, lv = loss_and_vectors(batch, k, mode="monte-carlo", mc_samples=samples, rng=rng)
         assert got_loss == loss
