@@ -133,9 +133,7 @@ def _logit_table(batch: EncodedBatch, anchors: np.ndarray) -> tuple[np.ndarray, 
 def log_partition(a: np.ndarray) -> np.ndarray:
     """log(1 + sum exp(a)) over the last axis, shifted by the row maximum: the
     loss of each negative subset from its logits."""
-    hi = np.maximum(a[..., 0], 0.0)
-    for c in range(1, a.shape[-1]):  # slice by slice: a.max(axis=-1) is ~6x slower, same bits
-        np.maximum(hi, a[..., c], out=hi)
+    hi = np.maximum(a.max(axis=-1), 0.0)
     e = a - hi[..., None]
     s = np.exp(e, out=e).sum(axis=-1)
     del e  # as large as a; free it before the vectors k times smaller
@@ -170,7 +168,6 @@ def _mc_index(rng: RngState, samples: int, n: int, k: int) -> tuple[np.ndarray |
     each draw's subset: flat[anchor, row].  That table holds no more logits
     than the draw.  Above it rows is None and flat (samples, n, k) is the Floyd
     draw's index."""
-    check_subsets(n, k)
     if math.comb(n - 1, k) <= samples:
         ((_, flat),) = _exact_groups(n, k, n * samples)  # the draw's size: one group
         return _draw_rows(rng.generator(), samples, n, flat.shape[1]), flat

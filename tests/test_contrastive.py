@@ -248,21 +248,6 @@ def test_floyd_path_fails_a_biased_draw(gen, monkeypatch):
     assert stderrs_off() > z
 
 
-def test_log_partition_takes_the_axis_maximum():
-    """log_partition's slice-by-slice maximum gives the bits of the axis
-    maximum, for k = 1 ... 19, on rows with ties, all-negative rows (where the
-    shift is 0) and logits large enough that an unshifted exp overflows."""
-    gen = np.random.default_rng(19)
-    for k in range(1, 20):
-        a = 30 * gen.standard_normal((500, 3, k))
-        a[:50] = np.round(a[:50] / 10)  # ties
-        a[50:100] = -np.abs(a[50:100])
-        a[100:150] *= 40
-        hi = np.maximum(a.max(axis=-1), 0.0)
-        want = hi + np.log(np.exp(a - hi[..., None]).sum(axis=-1) + np.exp(-hi))
-        assert np.array_equal(contrastive.log_partition(a), want), k
-
-
 @pytest.mark.parametrize("n, k, d, cap, samples", [
     (24, 6, 4, DEFAULT_ENUMERATION_CAP, None),  # three groups of up to 9 anchors
     (24, 6, 4, math.comb(23, 6), None),  # one anchor per group
