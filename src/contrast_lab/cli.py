@@ -93,7 +93,8 @@ def _stamp(cfg: ExperimentConfig) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+    # strict JSON: a NaN or an infinity raises rather than write a token parsers reject
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _hyperparams(cfg: ExperimentConfig, delta: float) -> HyperParams:
@@ -153,9 +154,12 @@ def _verify_scale(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
-    """Oracle-equivalence checks at reduced scale: loss vectors against finite
-    differences of the exact loss, parameter gradients against finite
-    differences at small width, and Monte-Carlo against the exact expectation.
+    """Oracle-equivalence checks at reduced scale, one clause each:
+    ``losshat_sums_to_zero`` (the key-side loss vectors sum to zero),
+    ``grad_matches_finite_differences`` (both parameter gradients against
+    central differences of the exact loss, off the kink mask) and
+    ``mc_within_z_stderr`` (the Monte-Carlo loss within z standard errors of
+    the exact expectation).
     """
     small = _verify_scale(cfg)
     root, data, qp, kp, hp = _setup(small)

@@ -168,11 +168,6 @@ class BatchTrace:
         """The activation pattern: every mask, flattened layer by layer."""
         return np.concatenate([m.ravel() for m in self.masks])
 
-    def columns(self, cols: slice) -> "BatchTrace":
-        """The trace of the inputs in columns ``cols``, as views."""
-        return BatchTrace(hidden=tuple(h[:, cols] for h in self.hidden),
-                          masks=tuple(m[:, cols] for m in self.masks), outputs=self.outputs[:, cols])
-
 
 def _inputs(p: Params, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
@@ -181,47 +176,45 @@ def _inputs(p: Params, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def forward_batch(p: Params, xs: np.ndarray) -> BatchTrace:
-    """xs: (n, b) rows of inputs."""
-    h = _inputs(p, xs).T
+def _forward(p: Params, h: np.ndarray, direction: Sequence[np.ndarray] | None = None,
+             s: np.ndarray | None = None) -> BatchTrace:
+    """The layer loop of every batched pass, one column per input of ``h``;
+    with a ``direction`` each layer's pre-activation, the output layer's
+    included, gains (U h) * s, scaled column by column."""
+    L = p.shape.L
     hidden, masks = [], []
-    for l in range(p.shape.L):
+    for l in range(L + 1):
         pre = p.weights[l] @ h
+        if direction is not None:
+            pre += (direction[l] @ h) * s
+        if l == L:
+            return BatchTrace(hidden=tuple(hidden), masks=tuple(masks), outputs=pre)
         mask = pre >= 0.0
         h = np.where(mask, pre, 0.0)
         hidden.append(h)
         masks.append(mask)
-    return BatchTrace(hidden=tuple(hidden), masks=tuple(masks), outputs=p.weights[p.shape.L] @ h)
+
+
+def forward_batch(p: Params, xs: np.ndarray) -> BatchTrace:
+    """xs: (n, b) rows of inputs."""
+    return _forward(p, _inputs(p, xs).T)
 
 
 def forward_shifted(p: Params, direction: Sequence[np.ndarray], scales: Sequence[float],
-                    xs: np.ndarray) -> BatchTrace:
-    """Forward passes of ``xs`` through ``p.shifted(direction, s)`` for every
-    scale s, stacked: column block j (columns j n to (j+1) n - 1, n = len(xs))
-    is the pass at the j-th scale.  Each layer computes W H + (U H) * s over
-    all stacked columns, so no shifted weight matrix is built; the values
-    differ from the shifted net's by the rounding of the two products.
-
-    The layer loop is a copy of ``forward_batch``'s: sharing one through a
-    per-layer callback would slow the finite-difference oracle's tens of
-    thousands of small ``forward_batch`` calls."""
+                    xs: np.ndarray) -> tuple[BatchTrace, ...]:
+    """The forward pass of ``xs`` through ``p.shifted(direction, s)`` for every
+    scale s, one trace per scale.  The traces are views into one pass over the
+    inputs stacked once per scale, in which each layer computes W H + (U H) * s,
+    so no shifted weight matrix is built; the values differ from the shifted
+    net's by the rounding of the two products."""
     xs = _inputs(p, xs)
-    s = np.repeat(np.asarray(scales, dtype=np.float64), len(xs))
-
-    def layer(l: int, h: np.ndarray) -> np.ndarray:
-        pre = p.weights[l] @ h
-        pre += (direction[l] @ h) * s
-        return pre
-
-    h = np.tile(xs.T, len(scales))
-    hidden, masks = [], []
-    for l in range(p.shape.L):
-        pre = layer(l, h)
-        mask = pre >= 0.0
-        h = np.where(mask, pre, 0.0)
-        hidden.append(h)
-        masks.append(mask)
-    return BatchTrace(hidden=tuple(hidden), masks=tuple(masks), outputs=layer(p.shape.L, h))
+    n = len(xs)
+    stacked = _forward(p, np.tile(xs.T, len(scales)), direction,
+                       np.repeat(np.asarray(scales, dtype=np.float64), n))
+    return tuple(BatchTrace(hidden=tuple(h[:, cols] for h in stacked.hidden),
+                            masks=tuple(m[:, cols] for m in stacked.masks),
+                            outputs=stacked.outputs[:, cols])
+                 for cols in (slice(j * n, (j + 1) * n) for j in range(len(scales))))
 
 
 def backprop_matrix(p: Params, trace: ForwardTrace, l: int) -> np.ndarray:

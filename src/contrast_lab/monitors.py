@@ -82,7 +82,8 @@ class ProbeReport:
     notes: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
-        return {**asdict(self), "notes": list(self.notes)}
+        # JSON has no NaN or infinity: each non-finite value becomes None (null)
+        return json.loads(json.dumps(asdict(self)), parse_constant=lambda _: None)
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=False)
@@ -320,12 +321,9 @@ def _perturbed_losses(qp: Params, kp: Params, u: list, v: list, data: Dataset,
                       hp: HyperParams, rhos: tuple[float, ...]) -> list[float]:
     """L(W + rho U, theta + rho V) at every rho, from one stacked forward
     pass per net."""
-    qt = forward_shifted(qp, u, rhos, data.points)
-    kt = forward_shifted(kp, v, rhos, data.points)
-    n = data.n
-    return [total_loss_exact(EncodedBatch.from_traces(qt.columns(cols), kt.columns(cols)),
-                             hp.k, cap=hp.enumeration_cap)
-            for cols in (slice(j * n, (j + 1) * n) for j in range(len(rhos)))]
+    return [total_loss_exact(EncodedBatch.from_traces(qt, kt), hp.k, cap=hp.enumeration_cap)
+            for qt, kt in zip(forward_shifted(qp, u, rhos, data.points),
+                              forward_shifted(kp, v, rhos, data.points))]
 
 
 def smoothness_probe(
@@ -367,6 +365,8 @@ def smoothness_probe(
         m * math.log(m) / (n * d)
     ) * base.loss_vectors.total_norm
     second_order_scale = rho_arr[fittable] ** 2 * hp.k * qp.shape.L**2 * m**2 / d**2
+    with np.errstate(divide="ignore", invalid="ignore"):  # log m = 0 at m = 1
+        first_order_ratio = mean_abs[fittable] / first_order_scale
     return ProbeReport(
         name="smoothness",
         statement=(
@@ -379,8 +379,7 @@ def smoothness_probe(
                 "m": m, "d": d, "L": qp.shape.L, "n": n, "k": hp.k},
         scalars={
             "mean_abs_residuals": mean_abs.tolist(),
-            "residual_over_first_order_scale": (
-                mean_abs[fittable] / first_order_scale).tolist(),
+            "residual_over_first_order_scale": first_order_ratio.tolist(),
             "residual_over_second_order_scale": (
                 mean_abs[fittable] / second_order_scale).tolist(),
         },
@@ -471,7 +470,7 @@ def perturbation_probe(
     """
     if list(omegas) != sorted(omegas) or min(omegas) < 0:
         raise ValueError("omegas must be non-negative and ascending")
-    xs, n = data.points, data.n
+    xs = data.points
     base = forward_batch(qp, xs)
     base_pattern = base.pattern
     flips, out_drift, hid_drift = (np.zeros((n_directions, len(omegas))) for _ in range(3))
@@ -480,10 +479,9 @@ def perturbation_probe(
         dirs = [gen.standard_normal(w.shape) for w in qp.weights]
         for g in dirs:
             g /= spectral_norm(g, tol=1e-4)
-        stacked = forward_shifted(qp, dirs, omegas, xs)
+        traces = forward_shifted(qp, dirs, omegas, xs)
         del dirs  # before the next direction's draw: one set alive at a time
-        for oi in range(len(omegas)):
-            t = stacked.columns(slice(oi * n, (oi + 1) * n))
+        for oi, t in enumerate(traces):
             flips[di, oi] = float(np.mean(t.pattern ^ base_pattern))
             out_drift[di, oi] = float(
                 np.max(np.linalg.norm(t.outputs - base.outputs, axis=0))
@@ -503,9 +501,9 @@ def perturbation_probe(
         "mean_flip_fractions": mean_flips.tolist(),
         "mean_output_drifts": mean_out.tolist(),
         "mean_hidden_drifts": mean_hid.tolist(),
-        "drift_over_omega_band": (
+        "drift_over_omega_band": (  # undefined when some drift is 0
             float(drift_ratio.max() / drift_ratio.min())
-            if drift_ratio.size else math.nan),
+            if drift_ratio.size and drift_ratio.min() > 0 else math.nan),
     }
     return ProbeReport(
         name="perturbation",

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -310,6 +311,29 @@ class TestCommands:
                      "--probes", "gradient"]) == EXIT_INCONCLUSIVE
         report = json.loads((out / "probe_gradient.json").read_text())["report"]
         assert report["config"]["ms"] == [64, 128] and report["passed"] is None
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_probe_artifacts_are_strict_json(self, tmp_path, capsys, seed):
+        # at m=1 a dead sample's hidden norm is 0, log m is 0, and on seed 3
+        # every output drift is 0: ratios no JSON number can hold
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 4, "k": 1, "L": 2, "m": 1, "d": 2, "b": 2,
+                                    "seed": seed, "T": 2}))
+        out = tmp_path / "p"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["probe", "--config", str(path), "--out", str(out), "--m-grid", "1,2,3"])
+        assert code == EXIT_FAIL  # the init probe's verdict
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        written = sorted(out.glob("probe_*.json"))
+        assert len(written) == 5
+        for artifact in written:
+            json.loads(artifact.read_text(), parse_constant=reject)
 
 
 def test_docs_show_the_parser_commands_and_flags():

@@ -126,11 +126,10 @@ def test_forward_shifted_matches_the_shifted_nets(m, small_data, shifted_pass_bo
     p = init_params(RngState(seed=31), Shape(L=3, m=m, d=8, b=small_data.b))
     direction = init_params(RngState(seed=37), p.shape).weights
     scales = (0.0, 1e-3, 0.1, -0.5, 1.0)
-    n = small_data.n
-    stacked = forward_shifted(p, direction, scales, small_data.points)
-    assert stacked.outputs.shape == (8, n * len(scales))
-    for j, s in enumerate(scales):
-        got = stacked.columns(slice(j * n, (j + 1) * n))
+    traces = forward_shifted(p, direction, scales, small_data.points)
+    assert len(traces) == len(scales)
+    for got, s in zip(traces, scales):
+        assert got.outputs.shape == (8, small_data.n)
         want = forward_batch(p.shifted(direction, s), small_data.points)
         *hidden, (_, out_bound) = shifted_pass_bounds(p, direction, s, small_data.points)
         assert np.all(np.abs(got.outputs - want.outputs) <= out_bound)

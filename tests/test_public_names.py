@@ -2,8 +2,9 @@
 code in the package, the benchmark's traced run, or an acceptance test that
 uses it as an independent oracle or measurement.  The oracles reach none of
 the production paths they certify.  No module re-opens an array for writing
-once it has been frozen.  In ``monitors`` only ``_verdict`` fits a line, and
-no probe builds a shifted copy of the weights."""
+once it has been frozen.  In ``encoder`` one layer loop serves every batched
+forward pass.  In ``monitors`` only ``_verdict`` fits a line, and no probe
+builds a shifted copy of the weights."""
 
 import ast
 import functools
@@ -61,7 +62,7 @@ def test_public_name_has_a_caller(module, name):
 # The reference paths and the production names they must not reach.
 INDEPENDENT = {"encoder": ("forward_trace", "backprop_matrix"),
                "oracle": ("fd_gradient", "enumerate_subsets")}
-PRODUCTION = {"forward_batch", "backward_batch", "_param_gradient", "grad_params",
+PRODUCTION = {"_forward", "forward_batch", "backward_batch", "_param_gradient", "grad_params",
               "loss_and_vectors"}
 
 
@@ -81,6 +82,16 @@ def test_no_module_reopens_frozen_arrays():
         and any(isinstance(t, ast.Attribute) and t.attr == "writeable" for t in node.targets)
     ]
     assert not reopened, f"writeable = True at {reopened}"
+
+
+def test_one_layer_loop_computes_relu_masks():
+    # a ReLU mask is a ``>= 0.0`` comparison; forward_trace is the reference
+    masking = {node.name for node in _modules()["encoder"].body
+               if isinstance(node, ast.FunctionDef)
+               for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+               and any(isinstance(op, ast.GtE) for op in cmp.ops)
+               and any(isinstance(c, ast.Constant) and c.value == 0.0 for c in cmp.comparators)}
+    assert masking == {"_forward", "forward_trace"}, f"ReLU masks computed in {sorted(masking)}"
 
 
 def test_probes_build_no_shifted_weights():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -92,6 +93,25 @@ def test_divergent_step_size_raises(small_nets_module):
     hp = HyperParams(k=2, eta=1e200, gamma=1e200, T=5)
     with pytest.raises(DivergenceError):
         train(qp, kp, data, hp)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_one_non_finite_gradient_entry_raises(small_nets_module, monkeypatch, bad):
+    """A single NaN or +inf in one key-net gradient layer, with the loss
+    finite, stops training at iteration 0."""
+    qp, kp, data = small_nets_module
+    original = trainer.grad_params
+
+    def spoiled_grad_params(*args, **kwargs):
+        g = original(*args, **kwargs)
+        layers = [w.copy() for w in g.grad_theta.weights]
+        layers[1][0, 0] = bad
+        return dataclasses.replace(g, grad_theta=Params(shape=g.grad_theta.shape,
+                                                        weights=tuple(layers)))
+
+    monkeypatch.setattr(trainer, "grad_params", spoiled_grad_params)
+    with pytest.raises(DivergenceError, match="iteration 0$"):
+        train(qp, kp, data, HyperParams(k=2, eta=0.05, gamma=0.05, T=3))
 
 
 def test_step_ms_covers_the_record_stage(small_nets_module, monkeypatch):
