@@ -7,6 +7,7 @@ are deterministic functions of an explicit :class:`~contrast_lab.rng.RngState`.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,47 +49,150 @@ def gaussian_matrix(rng: RngState, rows: int, cols: int, variance: float) -> np.
     return out.reshape(rows, cols)
 
 
-# Step cap of every power iteration; reaching it raises ConvergenceError.
-POWER_MAX_STEPS = 10_000
+# Step cap of the spectral solver; reaching it raises ConvergenceError.
+SOLVER_MAX_STEPS = 10_000
+# Rows of the solver's first basis allocation; it doubles when full.
+_BASIS_ROWS = 32
 
 
 def spectral_norm(a: np.ndarray, tol: float = 1e-8) -> float:
-    """Largest singular value of ``a`` via power iteration on A^T A."""
+    """Largest singular value of ``a`` by ``top_singular_values``.
+
+    Accuracy at the perturbation probe's tol 1e-4 on 1024 x 1024 standard
+    Gaussian matrices, as relative underestimate against ``np.linalg.svd``:
+    the median of eight is at most 1e-3 and each one at most 2e-2
+    (``test_gaussian_1024_at_probe_tol_matches_svd``).  Over 64 matrices
+    (Philox keys 0-15 and 100-147) the median was below 2e-4 and the worst
+    9.9e-3; the 12 above 1e-3 had starts nearly orthogonal to the top right
+    singular vector, so they stalled near sigma_2.  Power iteration's
+    stop on slow progress gave a median of 2.2e-3 and a worst of 1.5e-2.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ShapeError(f"expected a nonempty 2-d array, got shape {a.shape}")
-    # Fixed pseudorandom start so the iteration is deterministic and almost
+    # Fixed pseudorandom start so the solve is deterministic and almost
     # surely not orthogonal to the top singular subspace.
     start = RngState(seed=0x5EED, stream=a.shape[1]).generator().standard_normal((a.shape[1], 1))
-    return float(power_iteration(lambda v: a @ v, lambda w: a.T @ w, start, tol)[0])
+    return float(top_singular_values(lambda v: a @ v, lambda w: a.T @ w, start, tol).estimates[0])
 
 
-def power_iteration(
+@dataclass(frozen=True)
+class SpectralSolve:
+    """Per column: the top Ritz value and its residual; and the steps taken."""
+
+    estimates: np.ndarray
+    residuals: np.ndarray
+    steps: int
+
+
+def top_singular_values(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
     tol: float,
-) -> np.ndarray:
-    """Spectral norm of one operator per column of ``start``.
+) -> SpectralSolve:
+    """Largest singular value of one operator per column of ``start``, by
+    Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
+    (Golub & Kahan, SIAM J. Numer. Anal. B 2(2), 1965).
 
     ``matvec`` and ``rmatvec`` apply an operator A and its adjoint to a block
     of vectors column by column, so each column may see its own operator
-    (a per-sample masked weight chain).  Each column v starts normalised and
-    steps to A^T A v / ||A^T A v||; its estimate sqrt(||A^T A v||) is never
-    below ||A v||.  Stops once every column has |s_t - s_{t-1}| <= tol s_t,
-    and raises ConvergenceError if that takes over ``POWER_MAX_STEPS`` steps.
+    (a per-sample masked weight chain).  The columns step in lockstep, one
+    product of each callable per step.  After k steps a column has
+    orthonormal bases V_k (from its start) and U_k with A V_k = U_k B_k,
+    where B_k is k x k upper bidiagonal (diagonal alpha, superdiagonal beta).
+    Its estimate theta_k, the top Ritz value, is B_k's largest singular
+    value: it never decreases with k and never exceeds ||A||.  With
+    B_k y = theta_k q and B_k^T q = theta_k y, the Ritz pair's residual
+    ||A^T U_k q - theta_k V_k y|| is beta_k |e_k^T q|.
+
+    Stops once every column has |theta_k - theta_{k-1}| <= tol theta_k, and
+    raises ConvergenceError if that takes over ``SOLVER_MAX_STEPS`` steps.
+    A column stops earlier, with residual 0, at breakdown (a new alpha or
+    beta at rounding level: its Krylov space is invariant) or once its Krylov
+    space is exhausted (V_k spans A's input space, or U spanned its output
+    space a step earlier); it then feeds zero vectors to the products.
+
+    The rule measures progress, not error, and can stall near sigma_2 when
+    the start is nearly orthogonal to the top right singular vector.  On
+    the first layer of acceptance criterion 5's m=1024 query net (chain
+    W_1) at tol 1e-5, one column stopped 1.5e-3 low, at sigma_2, with a
+    residual of 1.3e-4 theta: sigma_2 is itself a singular value, so the
+    residual is a diagnostic, not a bound on the error.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    v = start / np.linalg.norm(start, axis=0, keepdims=True)
-    sigma = np.zeros(v.shape[1])
-    for _ in range(POWER_MAX_STEPS):
-        u = rmatvec(matvec(v))
-        norms = np.linalg.norm(u, axis=0)
-        new_sigma = np.sqrt(norms)
-        if np.all(np.abs(new_sigma - sigma) <= tol * np.maximum(new_sigma, 1e-300)):
-            return new_sigma
-        sigma = new_sigma
-        v = u / np.where(norms > 0, norms, 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    n_in, c = start.shape
+    v = start / np.linalg.norm(start, axis=0)
+    u = matvec(v)
+    n_out = u.shape[0]
+    rows = min(_BASIS_ROWS, n_in)
+    basis_v, basis_u = np.empty((c, rows, n_in)), np.empty((c, rows, n_out))
+    alpha, beta = np.zeros((c, rows)), np.zeros((c, rows))
+    theta = np.zeros(c)
+    live = np.ones(c, dtype=bool)
+    rounding = np.finfo(np.float64).eps * max(n_in, n_out)
+    for k in range(SOLVER_MAX_STEPS):
+        if k == basis_v.shape[1]:
+            basis_v, basis_u, alpha, beta = map(_double_rows, (basis_v, basis_u, alpha, beta))
+        basis_v[:, k] = v.T
+        if k:  # u = A v_k - beta_{k-1} u_{k-1}, made orthogonal to U_{k-1}
+            u = matvec(v) - beta[:, k - 1] * basis_u[:, k - 1].T
+            u -= _project(basis_u[:, :k], u)
+        alpha[:, k] = np.where(live, np.linalg.norm(u, axis=0), 0.0)
+        ending = live & ((alpha[:, k] <= rounding * theta) | (k >= n_out))
+        alpha[ending, k] = 0.0
+        live &= ~ending
+        u = _normalize(u, alpha[:, k], live)
+        basis_u[:, k] = u.T
+        previous = theta.copy()
+        solving = live | ending
+        theta[solving] = np.linalg.svd(
+            _bidiagonal(alpha[solving, :k + 1], beta[solving, :k]), compute_uv=False)[:, 0]
+        # w = A^T u_k - alpha_k v_k, made orthogonal to V_k
+        w = rmatvec(u) - alpha[:, k] * v
+        w -= _project(basis_v[:, :k + 1], w)
+        beta[:, k] = np.where(live, np.linalg.norm(w, axis=0), 0.0)
+        ending = live & ((beta[:, k] <= rounding * theta) | (k + 1 >= n_in))
+        beta[ending, k] = 0.0
+        live &= ~ending
+        if np.all(~live | (np.abs(theta - previous) <= tol * theta)):
+            # an ended column's residual is 0: its beta_k, or row k of its B_k, is 0
+            q = np.linalg.svd(_bidiagonal(alpha[live, :k + 1], beta[live, :k]))[0]
+            residual = np.zeros(c)
+            residual[live] = beta[live, k] * np.abs(q[:, -1, 0])
+            return SpectralSolve(theta, residual, k + 1)
+        v = _normalize(w, beta[:, k], live)
     raise ConvergenceError(
-        f"power iteration did not converge in {POWER_MAX_STEPS} steps (last={sigma})")
+        f"spectral solver did not converge in {SOLVER_MAX_STEPS} steps (last={theta})")
+
+
+def _double_rows(a: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0], 2 * a.shape[1], *a.shape[2:]))
+    out[:, :a.shape[1]] = a
+    return out
+
+
+def _project(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Column j of ``x`` (dim x c) projected onto the span of ``basis[j]``'s
+    orthonormal rows (c x k x dim): one batched product each way."""
+    coef = basis @ x.T[:, :, None]
+    return (basis.transpose(0, 2, 1) @ coef)[:, :, 0].T
+
+
+def _normalize(x: np.ndarray, norms: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``x``'s live columns over their norms; the others zero."""
+    return np.where(live, x / np.where(live, norms, 1.0), 0.0)
+
+
+def _bidiagonal(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Row j's k x k upper bidiagonal matrix, diagonal ``alpha[j]`` (k) and
+    superdiagonal ``beta[j]`` (k - 1), as a dense (c, k, k) stack.  The
+    solver stops in tens of steps, where a dense SVD of B_k costs less than
+    one operator product at the probes' widths."""
+    c, k = alpha.shape
+    out = np.zeros((c, k, k))
+    i = np.arange(k)
+    out[:, i, i] = alpha
+    out[:, i[:-1], i[:-1] + 1] = beta
+    return out

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -60,25 +62,75 @@ def test_probe_report_serializes_stably(setup):
     assert report.to_json() == init_probe(qp, kp, data).to_json()
 
 
+def _dense_chain(p, trace, a, b, i):
+    """Sample i's chain W_b D_{b-1} ... D_a W_a as a dense matrix."""
+    dense = p.weights[a].copy()
+    for l in range(a, b):
+        dense = p.weights[l + 1] @ (trace.masks[l][:, i : i + 1] * dense)
+    return dense
+
+
 def test_masked_chain_norms_match_dense_oracle(setup):
     _, data, qp, _, _ = setup
     trace = forward_batch(qp, data.points)
     for a, b in [(1, 1), (1, 2), (2, 2)]:
         got = masked_chain_norms(qp, trace, a, b, tol=1e-9)
-        for i in range(data.points.shape[0]):
-            dense = qp.weights[a].copy()
-            for l in range(a, b):
-                dense = qp.weights[l + 1] @ (trace.masks[l][:, i : i + 1] * dense)
-            want = np.linalg.svd(dense, compute_uv=False)[0]
-            assert got[i] == pytest.approx(want, rel=1e-5)
+        assert got.estimates.shape == got.residuals.shape == (data.n,)
+        assert 1 <= got.steps <= qp.shape.m
+        for i in range(data.n):
+            want = np.linalg.svd(_dense_chain(qp, trace, a, b, i), compute_uv=False)[0]
+            assert got.estimates[i] == pytest.approx(want, rel=1e-5)
+
+
+def test_masked_chain_norms_at_init_probe_tol_match_svd():
+    # criterion 5's m=1024 query net at init_probe's tol: every sample of the
+    # four one-layer chains (one SVD per layer) and two samples of the longest
+    root = RngState(seed=1)
+    data = generate_separated(root.child("data"), 8, 16, 0.5)
+    qp = init_params(root.child("q1024"), Shape(L=5, m=1024, d=64, b=16))
+    trace = forward_batch(qp, data.points)
+    errors = []
+    for a, b, samples in [(1, 1, 8), (2, 2, 8), (3, 3, 8), (4, 4, 8), (1, 4, 2)]:
+        got = masked_chain_norms(qp, trace, a, b).estimates[:samples]
+        want = [np.linalg.svd(_dense_chain(qp, trace, a, b, i), compute_uv=False)[0]
+                for i in range(1 if a == b else samples)]  # a one-layer chain has no mask
+        assert np.all(got <= np.multiply(want, 1 + 1e-12))
+        errors.extend((want - got) / want)
+    assert max(errors) <= 1e-2
+
+
+def test_dead_sample_chain_norm_is_zero(setup):
+    _, data, qp, _, _ = setup
+    trace = forward_batch(qp, data.points)
+    masks = list(trace.masks)
+    masks[1] = masks[1].copy()
+    masks[1][:, 0] = False  # sample 0 has no active unit after layer 1
+    dead = dataclasses.replace(trace, masks=tuple(masks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = masked_chain_norms(qp, dead, 1, 2, tol=1e-9)
+    assert got.estimates[0] == got.residuals[0] == 0.0
+    assert np.all(got.estimates[1:] > 0)
+    assert np.all(np.isfinite(got.residuals))
 
 
 def test_masked_chain_norms_raise_at_step_cap(setup, monkeypatch):
     _, data, qp, _, _ = setup
     trace = forward_batch(qp, data.points)
-    monkeypatch.setattr("contrast_lab.linalg.POWER_MAX_STEPS", 2)
+    monkeypatch.setattr("contrast_lab.linalg.SOLVER_MAX_STEPS", 2)
     with pytest.raises(ConvergenceError):
         masked_chain_norms(qp, trace, 1, 2, tol=1e-9)
+
+
+def test_init_probe_reports_chain_solver_diagnostics(setup):
+    _, data, qp, kp, _ = setup
+    solves = [masked_chain_norms(p, forward_batch(p, data.points), a, b)
+              for p in (qp, kp) for a in (1, 2) for b in range(a, 3)]
+    s = init_probe(qp, kp, data).scalars
+    assert s["chain_solver_max_steps"] == max(r.steps for r in solves)
+    assert s["chain_max_residual_over_estimate"] == max(
+        float(np.max(r.residuals / r.estimates)) for r in solves)
+    assert s["max_chain_norm"] == max(float(r.estimates.max()) for r in solves)
 
 
 def _per_sample_backward_ratios(p, trace):
@@ -111,7 +163,8 @@ def test_init_probe_notes_a_single_layer_once(setup):
     report = init_probe(qp, kp, data)
     assert report.notes.count("L < 2: no hidden-to-hidden chains to measure") == 1
     # nothing was measured, so nothing reads as a measured zero
-    for key in ("max_chain_norm", "max_chain_over_sqrtL", "backward_chain_ratio"):
+    for key in ("max_chain_norm", "max_chain_over_sqrtL", "chain_solver_max_steps",
+                "chain_max_residual_over_estimate", "backward_chain_ratio"):
         assert report.scalars[key] is None
 
 
