@@ -116,15 +116,25 @@ def _draw_rows(gen: np.random.Generator, samples: int, n: int, subsets: int) -> 
 @lru_cache(maxsize=64)
 def _relative_subsets(n_others: int, k: int) -> np.ndarray:
     """All k-subsets of range(n_others), lexicographic, as an index array."""
-    combos = list(itertools.combinations(range(n_others), k))
-    return np.asarray(combos, dtype=np.intp)
+    combos = np.asarray(list(itertools.combinations(range(n_others), k)), dtype=np.intp)
+    combos.flags.writeable = False
+    return combos
 
 
-def _logit_table(batch: EncodedBatch, anchors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For the r-th other j of anchor i = anchors[a]: others[a, r] = j, the key
-    difference z[a, r] = k_j - k_i and the logit q_i . z[a, r], shape (g, n-1)."""
-    r = np.arange(batch.n - 1)
-    others = r + (r >= anchors[:, None])
+@lru_cache(maxsize=64)
+def _others(n: int) -> np.ndarray:
+    """others[i, r] = the r-th of the n-1 points other than i, shape (n, n-1)."""
+    r = np.arange(n - 1)
+    others = r + (r >= np.arange(n)[:, None])
+    others.flags.writeable = False
+    return others
+
+
+def _logit_table(batch: EncodedBatch, anchors: slice) -> tuple[np.ndarray, ...]:
+    """For the r-th other j of anchor i in the range anchors: others[a, r] = j,
+    the key difference z[a, r] = k_j - k_i and the logit q_i . z[a, r], shape
+    (g, n-1)."""
+    others = _others(batch.n)[anchors]
     z = batch.keys[others] - batch.keys[anchors, None]
     # The stacked product rounds like the per-anchor z_i @ q_i; einsum does not.
     return others, z, (z @ batch.queries[anchors, :, None])[..., 0]
@@ -149,41 +159,49 @@ def check_subsets(n: int, k: int, cap: float = math.inf) -> None:
                                f"enumeration cap {cap}; only monte-carlo mode runs above it")
 
 
-def _exact_groups(n: int, k: int, cap: int):
-    """Anchors in groups of at most cap subset losses (one anchor at least), each
-    with the flat index (g, C(n-1, k), k) of every subset member into its logits."""
+def _exact_groups(n: int, k: int, cap: int) -> tuple[np.ndarray, list[slice]]:
+    """Every anchor's k-subsets of its others, rel (C(n-1, k), k), and the
+    anchors in ranges of at most cap subset losses (one anchor at least)."""
     check_subsets(n, k, cap)
     rel = _relative_subsets(n - 1, k)
     size = max(1, cap // len(rel))
-    return ((anchors, (np.arange(len(anchors)) * (n - 1))[:, None, None] + rel)
-            for anchors in np.split(np.arange(n), range(size, n, size)))
+    return rel, [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _flat_groups(n: int, k: int, cap: int):
+    """The anchor ranges of _exact_groups, each with the flat index (g,
+    C(n-1, k), k) of every subset member into the range's logits."""
+    rel, groups = _exact_groups(n, k, cap)
+    return ((anchors, (np.arange(anchors.stop - anchors.start) * (n - 1))[:, None, None] + rel)
+            for anchors in groups)
 
 
 def _mc_index(rng: RngState, samples: int, n: int, k: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """Uniform negative subsets, `samples` per anchor, as (rows, flat).
+    """Uniform negative subsets, `samples` per anchor, as (rows, index).
 
     When an anchor has no more subsets than there are draws, C(n-1, k) <=
-    samples, flat (n, C(n-1, k), k) indexes every subset of every anchor into
-    all n anchors' logits, as the exact loss does, and rows (samples, n) picks
-    each draw's subset: flat[anchor, row].  That table holds no more logits
-    than the draw.  Above it rows is None and flat (samples, n, k) is the Floyd
-    draw's index."""
+    samples, index is rel (C(n-1, k), k), every anchor's subsets of its
+    others, as the exact loss gathers them, and rows (samples, n) picks each
+    draw's subset: rel[row] of each anchor.  The table of every anchor's
+    subset losses holds no more logits than the draw.  Above it rows is None
+    and index (samples, n, k) is the Floyd draw as an index into all n
+    anchors' logits."""
     if math.comb(n - 1, k) <= samples:
-        ((_, flat),) = _exact_groups(n, k, n * samples)  # the draw's size: one group
-        return _draw_rows(rng.generator(), samples, n, flat.shape[1]), flat
+        rel, _ = _exact_groups(n, k, n * samples)  # the draw's size: one group
+        return _draw_rows(rng.generator(), samples, n, len(rel)), rel
     flat = _draw_subsets(rng.generator(), samples, n, k)
     flat += (np.arange(n) * (n - 1))[:, None]
     return None, flat
 
 
-def _subset_losses(batch: EncodedBatch, anchors: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """The loss of each subset that flat indexes into the anchors' logits."""
-    return log_partition(np.take(_logit_table(batch, anchors)[2], flat))
+def _subset_losses(batch: EncodedBatch, anchors: slice, rel: np.ndarray) -> np.ndarray:
+    """The loss of each of the anchors' subsets in rel, (g, C(n-1, k))."""
+    return log_partition(np.take(_logit_table(batch, anchors)[2], rel, axis=1))
 
 
 def total_loss_exact(batch: EncodedBatch, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    means = [_subset_losses(batch, anchors, flat).mean(axis=1)
-             for anchors, flat in _exact_groups(batch.n, k, cap)]
+    rel, groups = _exact_groups(batch.n, k, cap)
+    means = [_subset_losses(batch, anchors, rel).mean(axis=1) for anchors in groups]
     # cumsum adds the anchors' means in order, like the per-anchor reference in
     # the tests; np.sum would pair them
     return float(np.cumsum(np.concatenate(means))[-1]) / batch.n
@@ -197,11 +215,11 @@ def total_loss_mc(
     losses from the (n, C(n-1, k)) table of the losses the exact loss averages."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    anchors = np.arange(batch.n)
-    rows, flat = _mc_index(rng, samples, batch.n, k)
-    losses = _subset_losses(batch, anchors, flat)
-    if rows is not None:
-        losses = losses[anchors, rows]
+    rows, index = _mc_index(rng, samples, batch.n, k)
+    if rows is None:
+        losses = log_partition(np.take(_logit_table(batch, slice(None))[2], index))
+    else:
+        losses = _subset_losses(batch, slice(None), index)[np.arange(batch.n), rows]
     draws = losses.mean(axis=1)
     return float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(samples))
 
@@ -209,7 +227,8 @@ def total_loss_mc(
 def _coefficient_table(batch: EncodedBatch, groups) -> tuple[float, np.ndarray, np.ndarray]:
     """The total loss, the pairwise coefficients c[i, j] (the mean over the
     subsets of the softmax weight of key j as a negative for query i) and
-    losstilde, over the (anchors, flat index) groups."""
+    losstilde, over the groups of (anchor range, index of each subset member
+    into the range's logits)."""
     n, d = batch.queries.shape
     coeff = np.zeros((n, n))
     losstilde = np.empty((n, d))
@@ -222,7 +241,7 @@ def _coefficient_table(batch: EncodedBatch, groups) -> tuple[float, np.ndarray, 
         a -= losses[..., None]
         np.exp(a, out=a)  # the softmax weight of each subset member
         c = np.bincount(flat.ravel(), a.ravel(), logits.size).reshape(logits.shape) / flat.shape[1]
-        coeff[anchors[:, None], others] = c
+        np.put_along_axis(coeff[anchors], others, c, axis=1)
         losstilde[anchors] = (c[:, None] @ z)[:, 0]
     return float(np.cumsum(np.concatenate(means))[-1]) / n, coeff, losstilde
 
@@ -242,18 +261,21 @@ def loss_and_vectors(
       losstilde_i = sum_j c[i, j] (k_j - k_i)
       losshat_i   = sum_{j != i} (c[j, i] q_j - c[i, j] q_i)
     """
+    n = batch.n
     if mode == "exact":
-        groups = _exact_groups(batch.n, k, cap)
+        groups = _flat_groups(n, k, cap)
     elif mode == "monte-carlo":
         if rng is None:
             raise ValueError("monte-carlo mode needs an rng")
-        anchors = np.arange(batch.n)
-        rows, flat = _mc_index(rng, mc_samples, batch.n, k)
+        rows, index = _mc_index(rng, mc_samples, n, k)
         # anchor-major, so that each anchor's mean runs over contiguous losses
-        flat = (np.ascontiguousarray(flat.transpose(1, 0, 2)) if rows is None
-                else flat[anchors[:, None], rows.T])
-        del rows  # free it before the kernel gathers the logits
-        groups = [(anchors, flat)]
+        if rows is None:
+            flat = np.ascontiguousarray(index.transpose(1, 0, 2))
+        else:
+            flat = index[rows.T]
+            flat += (np.arange(n) * (n - 1))[:, None, None]
+        del rows, index  # free them before the kernel gathers the logits
+        groups = [(slice(None), flat)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     total, coeff, losstilde = _coefficient_table(batch, groups)
@@ -268,7 +290,7 @@ def losshat_pair(
     """Averaged softmax weight of key j as a negative for query i, times q_i."""
     if i == j:
         raise IndexError("losshat_pair needs i != j")
-    return _coefficient_table(batch, _exact_groups(batch.n, k, cap))[1][i, j] * batch.queries[i]
+    return _coefficient_table(batch, _flat_groups(batch.n, k, cap))[1][i, j] * batch.queries[i]
 
 
 @dataclass(frozen=True)

@@ -177,13 +177,16 @@ def _inputs(p: Params, xs: np.ndarray) -> np.ndarray:
 
 
 def _forward(p: Params, h: np.ndarray, direction: Sequence[np.ndarray] | None = None,
-             s: np.ndarray | None = None) -> BatchTrace:
+             s: np.ndarray | None = None, start: int = 0) -> BatchTrace:
     """The layer loop of every batched pass, one column per input of ``h``;
     with a ``direction`` each layer's pre-activation, the output layer's
-    included, gains (U h) * s, scaled column by column."""
+    included, gains (U h) * s, scaled column by column.  From ``start`` > 0,
+    h is the hidden state below layer ``start`` and the pass runs only the
+    layers at and above it: the trace's hidden[j] and masks[j] are layer
+    start + j's."""
     L = p.shape.L
     hidden, masks = [], []
-    for l in range(L + 1):
+    for l in range(start, L + 1):
         pre = p.weights[l] @ h
         if direction is not None:
             pre += (direction[l] @ h) * s

@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the closed-form gradients it checks:
 subset enumeration is a hand-rolled lexicographic successor, and gradients
-are plain central differences.
+are plain central differences.  The kink mask runs the encoder's forward
+pass, re-running for each nudge of W_l only the layers at and above l.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .data import Dataset
-from .encoder import Params, forward_batch
+from .encoder import Params, _forward, forward_batch
 from .errors import EvaluationError
 
 DEFAULT_FD_STEP = 1e-4  # near (machine eps)^(1/3), balancing truncation vs rounding
@@ -39,16 +40,17 @@ def enumerate_subsets(n: int, k: int, exclude: int) -> Iterator[tuple[int, ...]]
             idx[p] = idx[p - 1] + 1
 
 
-def _nudges(p: Params, h: float) -> Iterator[tuple[int, int, float, Params]]:
-    """Walk every weight entry of p, +h then -h: set the entry to orig +- h,
-    yield (layer, flat index, sign, moved), then restore it.
+def _nudges(p: Params, h: float, layers: int | None = None) -> Iterator[tuple[int, int, float, Params]]:
+    """Walk every weight entry of p's first ``layers`` weight matrices (all of
+    them by default), +h then -h: set the entry to orig +- h, yield (layer,
+    flat index, sign, moved), then restore it.
 
     moved wraps read-only views of one private copy of p's weights, so the
     walk writes through the copy while no caller can write through moved.
     """
     work = [w.copy() for w in p.weights]
     moved = Params(shape=p.shape, weights=tuple(w.view() for w in work))
-    for l, w in enumerate(work):
+    for l, w in enumerate(work[:layers]):
         flat = w.ravel()
         for c in range(flat.size):
             orig = flat[c]
@@ -69,8 +71,8 @@ def fd_gradient(
     loss_fn sees the moved network through read-only arrays, so a write
     into it raises ValueError instead of corrupting the walk.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h}")
 
     def grad_one(target_idx: int) -> Params:
         base = (qp, kp)[target_idx]
@@ -108,19 +110,27 @@ class KinkMask:
 
 def kink_mask(qp: Params, kp: Params, data: Dataset, h: float) -> KinkMask:
     """Mark weight coordinates whose +-h perturbation flips any activation
-    bit of any forward trace (either encoder, any sample)."""
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    xs = data.points
+    bit of any forward trace (either encoder, any sample).
+
+    A nudge of W_l moves no layer below l, so the walk re-runs only the
+    layers at and above l, from the unperturbed hidden state below l, and
+    compares their masks with the unperturbed ones.  A nudge of the output
+    layer W_L moves no mask and is never marked."""
+    if not (math.isfinite(h) and h >= 0):
+        raise ValueError(f"h must be finite and nonnegative, got {h}")
+    xs = np.asarray(data.points, dtype=np.float64)
 
     def mask_one(p: Params) -> tuple[np.ndarray, ...]:
         # perturbing one net cannot move the other net's activations
-        ref = forward_batch(p, xs).pattern
+        base = forward_batch(p, xs)
+        below = (xs.T,) + base.hidden  # the input of each layer l < L
         flags = [np.zeros(w.shape, dtype=bool) for w in p.weights]
-        for l, c, sign, moved in _nudges(p, h):
+        L = p.shape.L
+        for l, c, sign, moved in _nudges(p, h, layers=L):
             if sign < 0 and flags[l].flat[c]:
                 continue  # +h already flipped a bit
-            if not np.array_equal(forward_batch(moved, xs).pattern, ref):
+            masks = _forward(moved, below[l], start=l).masks
+            if not all(np.array_equal(a, b) for a, b in zip(masks, base.masks[l:])):
                 flags[l].flat[c] = True
         return tuple(flags)
 

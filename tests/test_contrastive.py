@@ -325,6 +325,7 @@ def _per_anchor_reference(batch, subsets_of):
     (3, 9, 3, 4, math.comb(8, 3)),  # one anchor per group
     (4, 10, 3, 5, 2 * math.comb(9, 3) + 1),  # groups of two
     (5, 12, 4, 16, DEFAULT_ENUMERATION_CAP),
+    (6, 7, 2, 3, 3 * math.comb(6, 2)),  # groups of 3, 3 and 1
 ])
 def test_kernel_is_bit_identical_to_the_per_anchor_loop(seed, n, k, d, cap):
     gen = np.random.default_rng(seed)

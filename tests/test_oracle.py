@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contrast_lab.encoder import Params, Shape
+from contrast_lab.encoder import Params, Shape, forward_batch
 from contrast_lab.oracle import enumerate_subsets, fd_gradient, kink_mask
 from contrast_lab.rng import RngState
 from contrast_lab.data import Dataset
@@ -78,6 +78,33 @@ class TestFdGradient:
             fd_gradient(writes, qp, kp, h=1e-5)
         assert len(calls) == 1 and calls[0] is not qp
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_step_is_rejected_before_the_walk(self, h):
+        calls = []
+        with pytest.raises(ValueError, match="finite"):
+            fd_gradient(lambda a, b: calls.append(a) or 0.0, _tiny_params(3), _tiny_params(4), h=h)
+        assert not calls
+
+
+def _reference_kinks(p, xs, h):
+    """The kink walk without shortcuts: one full forward_batch per +-h-nudged
+    net, its whole activation pattern against the unperturbed one.  Maps
+    (layer, coordinate, sign) to the set of hidden layers whose masks moved,
+    empty when the pattern is unchanged."""
+    base = forward_batch(p, xs)
+    moved = {}
+    for l, w in enumerate(p.weights):
+        for c in range(w.size):
+            for sign in (+1.0, -1.0):
+                weights = [v.copy() for v in p.weights]
+                weights[l].flat[c] += sign * h
+                trace = forward_batch(Params(shape=p.shape, weights=tuple(weights)), xs)
+                layers = {j for j, (a, b) in enumerate(zip(trace.masks, base.masks))
+                          if not np.array_equal(a, b)}
+                assert bool(layers) == (not np.array_equal(trace.pattern, base.pattern))
+                moved[l, c, sign] = layers
+    return moved
+
 
 class TestKinkMask:
     def _dataset(self):
@@ -101,3 +128,30 @@ class TestKinkMask:
         assert km.query[0][0].all()          # the zero row, every coordinate
         assert not km.query[0][1].any()      # the generic row, none
         assert km.marked_fraction > 0.0
+
+    def test_walk_matches_one_full_pass_per_nudge(self):
+        # at this seed and step both nets have coordinates flagged by +h
+        # alone, by -h alone, and only through a layer above the nudged one
+        gen = np.random.default_rng(13)
+        shape = Shape(L=2, m=4, d=2, b=3)
+        nets = [Params(shape=shape, weights=tuple(gen.standard_normal(dims)
+                                                  for dims in shape.layer_dims()))
+                for _ in range(2)]
+        xs = gen.standard_normal((4, 3))
+        h = 0.1
+        km = kink_mask(*nets, Dataset(points=xs, delta=0.0), h=h)
+        for p, got in zip(nets, (km.query, km.key)):
+            moved = _reference_kinks(p, xs, h)
+            for l, w in enumerate(p.weights):
+                want = [bool(moved[l, c, 1.0] or moved[l, c, -1.0]) for c in range(w.size)]
+                assert np.array_equal(got[l], np.reshape(want, w.shape)), l
+            assert not got[shape.L].any()
+            for sign in (+1.0, -1.0):
+                assert any(moved[l, c, sign] and not moved[l, c, -sign] for l, c, _ in moved)
+            flips = {(l, c): moved[l, c, 1.0] | moved[l, c, -1.0] for l, c, _ in moved}
+            assert any(layers and l not in layers for (l, c), layers in flips.items())
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-4])
+    def test_bad_step_is_rejected(self, h):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            kink_mask(_tiny_params(5), _tiny_params(6), self._dataset(), h=h)
