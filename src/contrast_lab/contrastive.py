@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -301,27 +302,36 @@ class GradResult:
     loss: float
 
 
-def _param_gradient(p: Params, trace: BatchTrace, xs: np.ndarray, out_grads: np.ndarray) -> Params:
-    """Gradient of (1/n) sum_i <out_grads[i], f(x_i)> w.r.t. the weights."""
+def _param_gradient(p: Params, trace: BatchTrace, xs: np.ndarray, out_grads: np.ndarray,
+                    out: Sequence[np.ndarray]) -> Params:
+    """Gradient of (1/n) sum_i <out_grads[i], f(x_i)> w.r.t. the weights,
+    each layer's product written into its array of ``out``; the result wraps
+    read-only views, so ``out`` stays writable."""
     n = xs.shape[0]
     L = p.shape.L
     v = out_grads.T / n  # (d, n)
-    grads = [None] * L + [v @ trace.hidden[L - 1].T]
+    np.matmul(v, trace.hidden[L - 1].T, out=out[L])
     # the gradient reaching layer l's output, for l = L-1 down to 0
     for l, g in zip(range(L - 1, -1, -1), backward_batch(p, trace.masks, v, L, 1)):
         below = trace.hidden[l - 1] if l > 0 else xs.T
-        grads[l] = np.where(trace.masks[l], g, 0.0) @ below.T
-    return Params(shape=p.shape, weights=tuple(grads))
+        np.matmul(np.where(trace.masks[l], g, 0.0), below.T, out=out[l])
+    return Params(shape=p.shape, weights=tuple(o.view() for o in out))
 
 
 def grad_params(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
-                rng: RngState | None = None) -> GradResult:
-    """Closed-form gradients of the total loss for both encoders."""
+                rng: RngState | None = None,
+                out: tuple[Sequence[np.ndarray], Sequence[np.ndarray]] | None = None,
+                ) -> GradResult:
+    """Closed-form gradients of the total loss for both encoders.  ``out``
+    holds one writable array per layer for each net, the query net's first;
+    the gradients are written there (into fresh arrays when it is None)."""
     batch = encode_batch(qp, kp, data)
     loss, lv = loss_and_vectors(
         batch, hp.k, cap=hp.enumeration_cap, mode=hp.mode,
         mc_samples=hp.mc_samples, rng=rng,
     )
-    grad_w = _param_gradient(qp, batch.query_trace, data.points, lv.losstilde)
-    grad_theta = _param_gradient(kp, batch.key_trace, data.points, lv.losshat)
+    if out is None:
+        out = tuple(tuple(np.empty(dim) for dim in qp.shape.layer_dims()) for _ in range(2))
+    grad_w = _param_gradient(qp, batch.query_trace, data.points, lv.losstilde, out[0])
+    grad_theta = _param_gradient(kp, batch.key_trace, data.points, lv.losshat, out[1])
     return GradResult(grad_w=grad_w, grad_theta=grad_theta, loss_vectors=lv, loss=loss)

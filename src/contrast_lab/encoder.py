@@ -8,6 +8,7 @@ exactly zero count as active, so sigma(z) = mask * z holds exactly.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -55,16 +56,16 @@ class Params:
         for w in self.weights:
             w.flags.writeable = False
 
-    def frobenius_distance(self, other: "Params") -> float:
+    def frobenius_distance(self, other: "Params",
+                           scratch: Sequence[np.ndarray] | None = None) -> float:
+        """||self - other||_F; with ``scratch`` (one array of each layer's
+        shape) each difference and its square are formed there."""
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return math.sqrt(sum_of_squares(a - b for a, b in zip(self.weights, other.weights)))
-
-    def shifted(self, direction: Iterable[np.ndarray], rho: float) -> "Params":
-        """The network with every weight matrix moved by rho times its entry
-        of ``direction`` (the gradient step; probes use ``forward_shifted``)."""
-        return Params(shape=self.shape,
-                      weights=tuple(w + rho * g for w, g in zip(self.weights, direction)))
+        outs = scratch if scratch is not None else itertools.repeat(None)
+        return math.sqrt(sum_of_squares(
+            (np.subtract(a, b, out=s) for a, b, s in zip(self.weights, other.weights, outs)),
+            scratch))
 
     def to_bytes(self) -> bytes:
         """Binary container: one JSON header line, then raw little-endian
@@ -95,18 +96,16 @@ class Params:
         return Params(shape=shape, weights=tuple(weights))
 
 
-def sum_of_squares(arrays: Iterable[np.ndarray]) -> float:
+def sum_of_squares(arrays: Iterable[np.ndarray],
+                   scratch: Sequence[np.ndarray] | None = None) -> float:
     """Sum of the squared entries of every array, accumulated array by array
-    (the squared Frobenius norm of a weight stack)."""
-    # Squared straight off the iterator, never bound to a name, so numpy can
-    # square a temporary such as a - b in place instead of allocating another.
-    arrays = iter(arrays)
+    (the squared Frobenius norm of a weight stack).  With ``scratch``, one
+    array of each array's shape, the squares go there, not into fresh arrays;
+    an array may be its own scratch."""
     total = 0.0
-    while True:
-        try:
-            total += float(np.sum(next(arrays) ** 2))
-        except StopIteration:
-            return total
+    for a, out in zip(arrays, scratch if scratch is not None else itertools.repeat(None)):
+        total += float(np.sum(np.square(a, out=out)))
+    return total
 
 
 def init_params(rng: RngState, shape: Shape) -> Params:
@@ -205,11 +204,12 @@ def forward_batch(p: Params, xs: np.ndarray) -> BatchTrace:
 
 def forward_shifted(p: Params, direction: Sequence[np.ndarray], scales: Sequence[float],
                     xs: np.ndarray) -> tuple[BatchTrace, ...]:
-    """The forward pass of ``xs`` through ``p.shifted(direction, s)`` for every
-    scale s, one trace per scale.  The traces are views into one pass over the
-    inputs stacked once per scale, in which each layer computes W H + (U H) * s,
-    so no shifted weight matrix is built; the values differ from the shifted
-    net's by the rounding of the two products."""
+    """The forward pass of ``xs`` through the net with weights W + sU, U the
+    layer's entry of ``direction``, for every scale s, one trace per scale.
+    The traces are views into one pass over the inputs stacked once per
+    scale, in which each layer computes W H + (U H) * s, so no shifted weight
+    matrix is built; the values differ from the shifted net's by the rounding
+    of the two products."""
     xs = _inputs(p, xs)
     n = len(xs)
     stacked = _forward(p, np.tile(xs.T, len(scales)), direction,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contrast_lab import Shape, generate_separated, init_params
+from contrast_lab import Params, Shape, generate_separated, init_params
 from contrast_lab.rng import RngState
 
 
@@ -32,12 +32,24 @@ def gen():
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
+def _shifted(p, direction, s):
+    """The net with every weight matrix W moved to W + s U, U its entry of
+    ``direction``: the reference the stacked passes of ``forward_shifted``
+    are held to."""
+    return Params(shape=p.shape, weights=tuple(w + s * g for w, g in zip(p.weights, direction)))
+
+
+@pytest.fixture(scope="session")
+def shifted():
+    return _shifted
+
+
 def _gamma(j: int) -> float:
     return j * UNIT_ROUNDOFF / (1 - j * UNIT_ROUNDOFF)
 
 
 def _shifted_pass_bounds(p, direction, s, xs):
-    """Per layer of ``p.shifted(direction, s)`` on ``xs``: its pre-activation
+    """Per layer of ``_shifted(p, direction, s)`` on ``xs``: its pre-activation
     and an entrywise bound on how far ``forward_shifted``'s may sit from it.
 
     With A = W + sU and K the inner dimension, the shifted net rounds each
@@ -53,7 +65,7 @@ def _shifted_pass_bounds(p, direction, s, xs):
     h = np.asarray(xs, dtype=np.float64).T
     e = np.zeros_like(h)
     layers = []
-    for w, a, g in zip(p.weights, p.shifted(direction, s).weights, direction):
+    for w, a, g in zip(p.weights, _shifted(p, direction, s).weights, direction):
         pre = a @ h
         e = (np.abs(w) + abs(s) * np.abs(g)) @ (e + 2 * _gamma(w.shape[1] + 2) * (np.abs(h) + e))
         layers.append((pre, e))

@@ -270,6 +270,20 @@ class TestCommands:
                      "params_query.bin", "params_key.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_divergent_train_prints_only_its_error_line(self, tmp_path, capsys):
+        # the desk config at eta = gamma = 8 overflows within a few steps; the
+        # record's finiteness check reports it, and numpy issues no warning
+        cfg = _write_config(tmp_path, n=8, k=2, L=3, m=512, d=32, b=16, T=200,
+                            seed=1, eta=8.0, gamma=8.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        assert code == EXIT_FAIL
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite loss or gradient at iteration 4\n"
+
     def test_verify_passes_where_rounding_broke_it(self, tmp_path):
         # At this seed one gradient entry of 7.46e-9 differs from its central
         # difference by 1.1e-12, which is rounding, not a wrong gradient.

@@ -122,7 +122,7 @@ def test_backward_batch_is_bit_identical_to_transposed_products(m, cols):
 
 
 @pytest.mark.parametrize("m", [64, 512])
-def test_forward_shifted_matches_the_shifted_nets(m, small_data, shifted_pass_bounds):
+def test_forward_shifted_matches_the_shifted_nets(m, small_data, shifted, shifted_pass_bounds):
     p = init_params(RngState(seed=31), Shape(L=3, m=m, d=8, b=small_data.b))
     direction = init_params(RngState(seed=37), p.shape).weights
     scales = (0.0, 1e-3, 0.1, -0.5, 1.0)
@@ -130,7 +130,7 @@ def test_forward_shifted_matches_the_shifted_nets(m, small_data, shifted_pass_bo
     assert len(traces) == len(scales)
     for got, s in zip(traces, scales):
         assert got.outputs.shape == (8, small_data.n)
-        want = forward_batch(p.shifted(direction, s), small_data.points)
+        want = forward_batch(shifted(p, direction, s), small_data.points)
         *hidden, (_, out_bound) = shifted_pass_bounds(p, direction, s, small_data.points)
         assert np.all(np.abs(got.outputs - want.outputs) <= out_bound)
         for l, (pre, bound) in enumerate(hidden):

@@ -301,7 +301,7 @@ class TestSmoothnessProbe:
         assert caps == [hp.enumeration_cap] * 2
 
 
-def test_perturbed_losses_match_the_shifted_nets(setup, shifted_pass_bounds, gamma):
+def test_perturbed_losses_match_the_shifted_nets(setup, shifted, shifted_pass_bounds, gamma):
     """Each stacked loss is within a derived bound of ``total_loss_exact`` on
     the shifted nets.
 
@@ -325,7 +325,7 @@ def test_perturbed_losses_match_the_shifted_nets(setup, shifted_pass_bounds, gam
     got = monitors._perturbed_losses(qp, kp, u, v, data, hp, rhos)
     assert len(got) == len(rhos)
     for rho, loss in zip(rhos, got):
-        batch = encode_batch(qp.shifted(u, rho), kp.shifted(v, rho), data)
+        batch = encode_batch(shifted(qp, u, rho), shifted(kp, v, rho), data)
         want = total_loss_exact(batch, hp.k, cap=hp.enumeration_cap)
         e_q = shifted_pass_bounds(qp, u, rho, data.points)[-1][1].T
         e_k = shifted_pass_bounds(kp, v, rho, data.points)[-1][1].T

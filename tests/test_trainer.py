@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from contrast_lab import Shape, generate_separated, init_params
 from contrast_lab.contrastive import HyperParams, grad_params
 from contrast_lab.encoder import Params
+from contrast_lab.rng import RngState
 from contrast_lab import trainer
 from contrast_lab.errors import DivergenceError
 from contrast_lab.trainer import gd_step, theoretical_step_size, train
@@ -33,8 +36,6 @@ def short_run(small_nets_module):
 
 @pytest.fixture(scope="module")
 def small_nets_module():
-    from contrast_lab import Shape, generate_separated, init_params
-    from contrast_lab.rng import RngState
     root = RngState(seed=7)
     data = generate_separated(root.child("data"), 6, 8, 0.5)
     shape = Shape(L=3, m=32, d=8, b=8)
@@ -121,11 +122,79 @@ def test_step_ms_covers_the_record_stage(small_nets_module, monkeypatch):
     qp, kp, data = small_nets_module
     original = trainer.sum_of_squares
 
-    def slow_sum_of_squares(arrays):
+    def slow_sum_of_squares(arrays, scratch=None):
         time.sleep(0.025)
-        return original(arrays)
+        return original(arrays, scratch)
 
     monkeypatch.setattr(trainer, "sum_of_squares", slow_sum_of_squares)
     trace, _, _ = train(qp, kp, data, HyperParams(k=2, eta=0.05, gamma=0.05, T=2))
     assert len(trace) == 3
     assert all(r.step_ms >= 50.0 for r in trace.records)
+
+
+def _reference_run(qp, kp, data, hp):
+    """T steps of fresh ``w - eta * g`` arrays and the T+1 records' fields,
+    step_ms aside, each Frobenius norm summed layer by layer."""
+    def fro(arrays):
+        return math.sqrt(sum(float(np.sum(a ** 2)) for a in arrays))
+
+    qp0, kp0, rows = qp, kp, []
+    for t in range(hp.T + 1):
+        g = grad_params(qp, kp, data, hp)
+        lv = g.loss_vectors
+        rows.append((t, g.loss, lv.tilde_norm, lv.hat_norm, lv.total_norm,
+                     fro(g.grad_w.weights), fro(g.grad_theta.weights),
+                     fro(a - b for a, b in zip(qp.weights, qp0.weights)),
+                     fro(a - b for a, b in zip(kp.weights, kp0.weights))))
+        if t < hp.T:
+            qp = Params(shape=qp.shape, weights=tuple(
+                w - hp.eta * gw for w, gw in zip(qp.weights, g.grad_w.weights)))
+            kp = Params(shape=kp.shape, weights=tuple(
+                w - hp.gamma * gw for w, gw in zip(kp.weights, g.grad_theta.weights)))
+    return rows, qp, kp
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_buffered_steps_match_fresh_arrays_bit_for_bit(small_nets_module, T):
+    """T = 1, 2, 3 ends in each of train's two weight sets and covers the
+    closing record; the caller's nets stay as they were and share no memory
+    with the returned ones."""
+    qp, kp, data = small_nets_module
+    before = [w.copy() for w in qp.weights + kp.weights]
+    hp = HyperParams(k=2, eta=0.05, gamma=0.07, T=T)
+    trace, qf, kf = train(qp, kp, data, hp)
+    rows, want_q, want_k = _reference_run(qp, kp, data, hp)
+    fields = [f.name for f in dataclasses.fields(trace.records[0]) if f.name != "step_ms"]
+    assert [tuple(getattr(r, f) for f in fields) for r in trace.records] == rows
+    for got, want in zip(qf.weights + kf.weights, want_q.weights + want_k.weights):
+        assert got.tobytes() == want.tobytes()
+    for w, old in zip(qp.weights + kp.weights, before):
+        assert w.tobytes() == old.tobytes()
+    assert not any(np.shares_memory(a, b) for a in qf.weights + kf.weights
+                   for b in qp.weights + kp.weights)
+
+
+def test_a_step_allocates_no_weight_sized_array(monkeypatch):
+    """tracemalloc around each gd_step inside train: the step's peak above
+    its starting allocation stays below one m x m layer."""
+    root = RngState(seed=11)
+    data = generate_separated(root.child("data"), 8, 16, 0.5)
+    shape = Shape(L=3, m=256, d=32, b=16)
+    qp, kp = init_params(root.child("query-net"), shape), init_params(root.child("key-net"), shape)
+    original, peaks = trainer.gd_step, []
+
+    def measured_gd_step(*args, **kwargs):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = original(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return result
+
+    monkeypatch.setattr(trainer, "gd_step", measured_gd_step)
+    tracemalloc.start()
+    try:
+        train(qp, kp, data, HyperParams(k=2, eta=0.05, gamma=0.05, T=6))
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 6
+    assert max(peaks) < shape.m * shape.m * 8, peaks
