@@ -9,6 +9,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .contrastive import DEFAULT_ENUMERATION_CAP, DEFAULT_MC_SAMPLES
 from .errors import ConfigError
 
 #: Step sizes for the default desk-scale run (n=8, k=2, L=3, m=512, d=32).
@@ -33,8 +34,8 @@ class ExperimentConfig:
     gamma: float = DEFAULT_GAMMA
     T: int = 200
     mode: str = "exact"                   # train's loss: "exact" | "monte-carlo"
-    mc_samples: int = 2000
-    enumeration_cap: int = 10**6
+    mc_samples: int = DEFAULT_MC_SAMPLES
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def validate(self) -> None:
         for name in ("seed", "n", "k", "L", "m", "d", "b", "T", "mc_samples", "enumeration_cap"):

@@ -24,6 +24,7 @@ from .encoder import BatchTrace, Params, backward_batch, forward_batch, sum_of_s
 from .errors import EnumerationError, ShapeError
 from .rng import RngState
 
+DEFAULT_MC_SAMPLES = 2000
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
@@ -78,16 +79,16 @@ class HyperParams:
     T: int
     epsilon: float = 0.5
     mode: str = "exact"  # "exact" | "monte-carlo"
-    mc_samples: int = 2000
+    mc_samples: int = DEFAULT_MC_SAMPLES
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.eta < 0 or self.gamma < 0:
-            raise ValueError("step sizes must be nonnegative")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if not (0 <= self.eta < math.inf and 0 <= self.gamma < math.inf):
+            raise ValueError("step sizes must be finite and nonnegative")
+        if min(self.T, self.mc_samples, self.enumeration_cap) < 1:
+            raise ValueError("T, mc_samples and enumeration_cap must be >= 1")
         if self.mode not in ("exact", "monte-carlo"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -98,7 +99,6 @@ def _draw_subsets(gen: np.random.Generator, samples: int, n: int, k: int) -> np.
     Floyd, CACM 30(9), 1987) for every (sample, anchor) at once: for j = n-1-k,
     ..., n-2 draw t uniform in [0, j], and take j instead if t is a member.
     Beside the index array it holds one int64 and one bool (samples, n) array."""
-    check_subsets(n, k)
     out = np.empty((samples, n, k), dtype=np.intp)
     for col, j in enumerate(range(n - 1 - k, n - 1)):
         t = gen.integers(0, j + 1, (samples, n))
@@ -112,14 +112,6 @@ def _draw_subsets(gen: np.random.Generator, samples: int, n: int, k: int) -> np.
 def _draw_rows(gen: np.random.Generator, samples: int, n: int, subsets: int) -> np.ndarray:
     """(samples, n) uniform rows of each anchor's table of its subsets."""
     return gen.integers(0, subsets, (samples, n))
-
-
-@lru_cache(maxsize=64)
-def _relative_subsets(n_others: int, k: int) -> np.ndarray:
-    """All k-subsets of range(n_others), lexicographic, as an index array."""
-    combos = np.asarray(list(itertools.combinations(range(n_others), k)), dtype=np.intp)
-    combos.flags.writeable = False
-    return combos
 
 
 @lru_cache(maxsize=64)
@@ -160,52 +152,56 @@ def check_subsets(n: int, k: int, cap: float = math.inf) -> None:
                                f"enumeration cap {cap}; only monte-carlo mode runs above it")
 
 
-def _exact_groups(n: int, k: int, cap: int) -> tuple[np.ndarray, list[slice]]:
-    """Every anchor's k-subsets of its others, rel (C(n-1, k), k), and the
-    anchors in ranges of at most cap subset losses (one anchor at least)."""
+@lru_cache(maxsize=64)
+def _subset_index(n: int, k: int, g: int) -> np.ndarray:
+    """Read-only flat index (g, C(n-1, k), k) of each of g anchors' k-subsets
+    of its others into their (g, n-1) logits, lexicographic.  An entry holds
+    g * C(n-1, k) * k intp: at most 8 * k * cap bytes for an exact group, and
+    on the table path (g = n, C(n-1, k) <= samples) no more than the draw."""
+    rel = np.asarray(list(itertools.combinations(range(n - 1), k)), dtype=np.intp)
+    flat = (np.arange(g) * (n - 1))[:, None, None] + rel
+    flat.flags.writeable = False
+    return flat
+
+
+@lru_cache(maxsize=64)
+def _exact_groups(n: int, k: int, cap: int) -> tuple[tuple[slice, np.ndarray], ...]:
+    """The anchors in ranges of at most cap subset losses (one anchor at
+    least), each with its _subset_index."""
     check_subsets(n, k, cap)
-    rel = _relative_subsets(n - 1, k)
-    size = max(1, cap // len(rel))
-    return rel, [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _flat_groups(n: int, k: int, cap: int):
-    """The anchor ranges of _exact_groups, each with the flat index (g,
-    C(n-1, k), k) of every subset member into the range's logits."""
-    rel, groups = _exact_groups(n, k, cap)
-    return ((anchors, (np.arange(anchors.stop - anchors.start) * (n - 1))[:, None, None] + rel)
-            for anchors in groups)
+    size = max(1, cap // math.comb(n - 1, k))
+    return tuple((slice(lo, min(lo + size, n)), _subset_index(n, k, min(size, n - lo)))
+                 for lo in range(0, n, size))
 
 
 def _mc_index(rng: RngState, samples: int, n: int, k: int) -> tuple[np.ndarray | None, np.ndarray]:
     """Uniform negative subsets, `samples` per anchor, as (rows, index).
 
     When an anchor has no more subsets than there are draws, C(n-1, k) <=
-    samples, index is rel (C(n-1, k), k), every anchor's subsets of its
-    others, as the exact loss gathers them, and rows (samples, n) picks each
-    draw's subset: rel[row] of each anchor.  The table of every anchor's
-    subset losses holds no more logits than the draw.  Above it rows is None
-    and index (samples, n, k) is the Floyd draw as an index into all n
-    anchors' logits."""
-    if math.comb(n - 1, k) <= samples:
-        rel, _ = _exact_groups(n, k, n * samples)  # the draw's size: one group
-        return _draw_rows(rng.generator(), samples, n, len(rel)), rel
+    samples, index is _subset_index(n, k, n), as the exact loss gathers one
+    group of every anchor, and rows (samples, n) picks each draw's subset:
+    index[i, row] of anchor i.  The table of every anchor's subset losses
+    holds no more logits than the draw.  Above it rows is None and index
+    (samples, n, k) is the Floyd draw as an index into all n anchors' logits."""
+    check_subsets(n, k)
+    subsets = math.comb(n - 1, k)
+    if subsets <= samples:
+        return _draw_rows(rng.generator(), samples, n, subsets), _subset_index(n, k, n)
     flat = _draw_subsets(rng.generator(), samples, n, k)
     flat += (np.arange(n) * (n - 1))[:, None]
     return None, flat
 
 
-def _subset_losses(batch: EncodedBatch, anchors: slice, rel: np.ndarray) -> np.ndarray:
-    """The loss of each of the anchors' subsets in rel, (g, C(n-1, k))."""
-    return log_partition(np.take(_logit_table(batch, anchors)[2], rel, axis=1))
+def _anchor_mean(means: list[np.ndarray], n: int) -> float:
+    """The total loss from the per-anchor mean losses, added in anchor order
+    like the per-anchor reference in the tests (np.sum would pair them)."""
+    return float(np.cumsum(np.concatenate(means))[-1]) / n
 
 
 def total_loss_exact(batch: EncodedBatch, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    rel, groups = _exact_groups(batch.n, k, cap)
-    means = [_subset_losses(batch, anchors, rel).mean(axis=1) for anchors in groups]
-    # cumsum adds the anchors' means in order, like the per-anchor reference in
-    # the tests; np.sum would pair them
-    return float(np.cumsum(np.concatenate(means))[-1]) / batch.n
+    means = [log_partition(_logit_table(batch, anchors)[2].ravel()[flat]).mean(axis=1)
+             for anchors, flat in _exact_groups(batch.n, k, cap)]
+    return _anchor_mean(means, batch.n)
 
 
 def total_loss_mc(
@@ -217,10 +213,9 @@ def total_loss_mc(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     rows, index = _mc_index(rng, samples, batch.n, k)
-    if rows is None:
-        losses = log_partition(np.take(_logit_table(batch, slice(None))[2], index))
-    else:
-        losses = _subset_losses(batch, slice(None), index)[np.arange(batch.n), rows]
+    losses = log_partition(_logit_table(batch, slice(None))[2].ravel()[index])
+    if rows is not None:
+        losses = losses[np.arange(batch.n), rows]
     draws = losses.mean(axis=1)
     return float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(samples))
 
@@ -236,7 +231,7 @@ def _coefficient_table(batch: EncodedBatch, groups) -> tuple[float, np.ndarray, 
     means = []
     for anchors, flat in groups:
         others, z, logits = _logit_table(batch, anchors)
-        a = np.take(logits, flat)
+        a = logits.ravel()[flat]
         losses = log_partition(a)
         means.append(losses.mean(axis=1))
         a -= losses[..., None]
@@ -244,7 +239,7 @@ def _coefficient_table(batch: EncodedBatch, groups) -> tuple[float, np.ndarray, 
         c = np.bincount(flat.ravel(), a.ravel(), logits.size).reshape(logits.shape) / flat.shape[1]
         np.put_along_axis(coeff[anchors], others, c, axis=1)
         losstilde[anchors] = (c[:, None] @ z)[:, 0]
-    return float(np.cumsum(np.concatenate(means))[-1]) / n, coeff, losstilde
+    return _anchor_mean(means, n), coeff, losstilde
 
 
 def loss_and_vectors(
@@ -252,7 +247,7 @@ def loss_and_vectors(
     k: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
     mode: str = "exact",
-    mc_samples: int = 2000,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
     rng: RngState | None = None,
 ) -> tuple[float, LossVectors]:
     """Total loss together with both loss-vector families in one pass.
@@ -264,17 +259,18 @@ def loss_and_vectors(
     """
     n = batch.n
     if mode == "exact":
-        groups = _flat_groups(n, k, cap)
+        groups = _exact_groups(n, k, cap)
     elif mode == "monte-carlo":
         if rng is None:
             raise ValueError("monte-carlo mode needs an rng")
+        if mc_samples < 1:
+            raise ValueError("mc_samples must be >= 1")
         rows, index = _mc_index(rng, mc_samples, n, k)
-        # anchor-major, so that each anchor's mean runs over contiguous losses
-        if rows is None:
-            flat = np.ascontiguousarray(index.transpose(1, 0, 2))
-        else:
-            flat = index[rows.T]
-            flat += (np.arange(n) * (n - 1))[:, None, None]
+        if rows is not None:
+            index = index[np.arange(n), rows]  # each draw's subset, (samples, n, k)
+        # anchor-major and C-ordered, so that each anchor's mean runs over
+        # contiguous losses
+        flat = np.ascontiguousarray(index.transpose(1, 0, 2))
         del rows, index  # free them before the kernel gathers the logits
         groups = [(slice(None), flat)]
     else:
@@ -291,7 +287,7 @@ def losshat_pair(
     """Averaged softmax weight of key j as a negative for query i, times q_i."""
     if i == j:
         raise IndexError("losshat_pair needs i != j")
-    return _coefficient_table(batch, _flat_groups(batch.n, k, cap))[1][i, j] * batch.queries[i]
+    return _coefficient_table(batch, _exact_groups(batch.n, k, cap))[1][i, j] * batch.queries[i]
 
 
 @dataclass(frozen=True)

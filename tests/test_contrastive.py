@@ -182,7 +182,7 @@ def test_draw_is_uniform_over_the_subsets(seed, n, k):
     assert np.all(ordered[..., 1:] > ordered[..., :-1])
     # a subset's code is the bit mask of its members
     codes = (1 << drawn).sum(axis=2)
-    cells = (1 << contrastive._relative_subsets(n - 1, k)).sum(axis=1)
+    cells = (1 << contrastive._subset_index(n, k, 1)[0]).sum(axis=1)
     dof = len(cells) - 1
     threshold = scipy.stats.chi2.isf(UNIFORMITY_FALSE_FAILURE_P, dof) if dof else 0.0
     expected = samples / len(cells)
@@ -263,7 +263,7 @@ def test_kernel_peak_stays_within_four_logit_tables(n, k, d, cap, samples):
     if samples is None:
         subsets = math.comb(n - 1, k)
         table = 8 * min(n, cap // subsets) * subsets * k
-        contrastive._relative_subsets(n - 1, k)  # the cached enumeration outlives a call
+        contrastive._exact_groups(n, k, cap)  # the cached group indices outlive a call
         calls = (lambda: total_loss_exact(batch, k, cap), lambda: loss_and_vectors(batch, k, cap))
     else:
         table = 8 * samples * n * k
@@ -281,12 +281,38 @@ def test_kernel_peak_stays_within_four_logit_tables(n, k, d, cap, samples):
 
 
 def test_hyperparams_validation():
-    with pytest.raises(ValueError):
-        HyperParams(k=0, eta=0.1, gamma=0.1, T=1)
-    with pytest.raises(ValueError):
-        HyperParams(k=1, eta=-0.1, gamma=0.1, T=1)
-    with pytest.raises(ValueError):
-        HyperParams(k=1, eta=0.1, gamma=0.1, T=1, mode="bogus")
+    base = dict(k=1, eta=0.1, gamma=0.1, T=1)
+    for bad in (dict(k=0), dict(eta=-0.1), dict(mode="bogus"), dict(eta=math.nan),
+                dict(eta=math.inf), dict(gamma=math.nan), dict(gamma=-math.inf), dict(T=0),
+                dict(mc_samples=0), dict(mc_samples=-3), dict(enumeration_cap=0)):
+        with pytest.raises(ValueError):
+            HyperParams(**{**base, **bad})
+
+
+@pytest.mark.parametrize("mc_samples", [0, -3])
+def test_monte_carlo_vectors_need_a_sample(gen, mc_samples):
+    """Zero draws would average an empty slice to NaN; a negative count would
+    reach numpy as a negative dimension."""
+    with pytest.raises(ValueError, match="mc_samples"):
+        loss_and_vectors(random_batch(gen, 6, 3), 2, mode="monte-carlo", mc_samples=mc_samples,
+                         rng=RngState(seed=1))
+
+
+@pytest.mark.parametrize("k", [0, 6])
+@pytest.mark.parametrize("samples", [2, 1000])  # below and above C(5, 2) = 10
+def test_monte_carlo_rejects_k_before_any_draw(gen, monkeypatch, k, samples):
+    """k outside [1, n-1] is rejected before either sampler draws, whichever
+    path the number of samples would choose for a valid k."""
+    def no_draw(*args):
+        raise AssertionError("a sampler drew before k was checked")
+
+    monkeypatch.setattr(contrastive, "_draw_rows", no_draw)
+    monkeypatch.setattr(contrastive, "_draw_subsets", no_draw)
+    batch = random_batch(gen, 6, 3)
+    with pytest.raises(ValueError, match="1 <= k <= n-1"):
+        total_loss_mc(batch, k, RngState(seed=1), samples)
+    with pytest.raises(ValueError, match="1 <= k <= n-1"):
+        loss_and_vectors(batch, k, mode="monte-carlo", mc_samples=samples, rng=RngState(seed=1))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +357,7 @@ def test_kernel_is_bit_identical_to_the_per_anchor_loop(seed, n, k, d, cap):
     gen = np.random.default_rng(seed)
     batch = EncodedBatch(queries=4 * gen.standard_normal((n, d)), keys=gen.standard_normal((n, d)),
                          query_trace=None, key_trace=None)
-    rel = contrastive._relative_subsets(n - 1, k)
+    rel = contrastive._subset_index(n, k, 1)[0]
     loss, tilde, hat, coeff, _ = _per_anchor_reference(batch, lambda i: rel)
     assert total_loss_exact(batch, k, cap) == loss
     got_loss, lv = loss_and_vectors(batch, k, cap)

@@ -3,8 +3,10 @@ code in the package, the benchmark's traced run, or an acceptance test that
 uses it as an independent oracle or measurement.  The oracles reach none of
 the production paths they certify.  No module re-opens an array for writing
 once it has been frozen.  In ``encoder`` one layer loop serves every batched
-forward pass.  In ``monitors`` only ``_verdict`` fits a line, and no probe
-builds a shifted copy of the weights."""
+forward pass.  In ``contrastive`` one cached index enumerates the negative
+subsets and one function adds the anchors' mean losses.  In ``monitors``
+only ``_verdict`` fits a line, and no probe builds a shifted copy of the
+weights."""
 
 import ast
 import functools
@@ -92,6 +94,18 @@ def test_one_layer_loop_computes_relu_masks():
                and any(isinstance(op, ast.GtE) for op in cmp.ops)
                and any(isinstance(c, ast.Constant) and c.value == 0.0 for c in cmp.comparators)}
     assert masking == {"_forward", "forward_trace"}, f"ReLU masks computed in {sorted(masking)}"
+
+
+def test_one_subset_enumeration_and_one_ordered_mean():
+    # every exact and table gather reads _subset_index; one cumsum adds the
+    # anchors' mean losses in order
+    def users(name, modules):
+        return [f"{module}.{node.name}" for module in modules
+                for node in ast.walk(_modules()[module])
+                if isinstance(node, ast.FunctionDef) and name in _used_names(node)]
+
+    assert users("combinations", ["contrastive"]) == ["contrastive._subset_index"]
+    assert users("cumsum", sorted(_modules())) == ["contrastive._anchor_mean"]
 
 
 def test_probes_build_no_shifted_weights():
