@@ -8,9 +8,7 @@ exactly zero count as active, so sigma(z) = mask * z holds exactly.
 from __future__ import annotations
 
 import io
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -56,17 +54,6 @@ class Params:
         for w in self.weights:
             w.flags.writeable = False
 
-    def frobenius_distance(self, other: "Params",
-                           scratch: Sequence[np.ndarray] | None = None) -> float:
-        """||self - other||_F; with ``scratch`` (one array of each layer's
-        shape) each difference and its square are formed there."""
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-        outs = scratch if scratch is not None else itertools.repeat(None)
-        return math.sqrt(sum_of_squares(
-            (np.subtract(a, b, out=s) for a, b, s in zip(self.weights, other.weights, outs)),
-            scratch))
-
     def to_bytes(self) -> bytes:
         """Binary container: one JSON header line, then raw little-endian
         float64 payloads per layer, row-major.  Round-trip is bit-exact."""
@@ -96,15 +83,12 @@ class Params:
         return Params(shape=shape, weights=tuple(weights))
 
 
-def sum_of_squares(arrays: Iterable[np.ndarray],
-                   scratch: Sequence[np.ndarray] | None = None) -> float:
+def sum_of_squares(arrays: Iterable[np.ndarray]) -> float:
     """Sum of the squared entries of every array, accumulated array by array
-    (the squared Frobenius norm of a weight stack).  With ``scratch``, one
-    array of each array's shape, the squares go there, not into fresh arrays;
-    an array may be its own scratch."""
+    (the squared Frobenius norm of a weight stack)."""
     total = 0.0
-    for a, out in zip(arrays, scratch if scratch is not None else itertools.repeat(None)):
-        total += float(np.sum(np.square(a, out=out)))
+    for a in arrays:
+        total += float(np.sum(np.square(a)))
     return total
 
 

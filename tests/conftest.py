@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from contrast_lab import Params, Shape, generate_separated, init_params
+from contrast_lab.encoder import sum_of_squares
+from contrast_lab.errors import ShapeError
 from contrast_lab.rng import RngState
 
 
@@ -42,6 +46,19 @@ def _shifted(p, direction, s):
 @pytest.fixture(scope="session")
 def shifted():
     return _shifted
+
+
+def _frobenius_distance(p, other):
+    """||p - other||_F from fresh differences, summed layer by layer: the
+    reference for the trainer's trajectory norms."""
+    if p.shape != other.shape:
+        raise ShapeError(f"shape mismatch: {p.shape} vs {other.shape}")
+    return math.sqrt(sum_of_squares(a - b for a, b in zip(p.weights, other.weights)))
+
+
+@pytest.fixture(scope="session")
+def frobenius_distance():
+    return _frobenius_distance
 
 
 def _gamma(j: int) -> float:
