@@ -159,20 +159,22 @@ def _inputs(p: Params, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _forward(p: Params, h: np.ndarray, direction: Sequence[np.ndarray] | None = None,
+def _forward(p: Params, h: np.ndarray, direction: Iterable[np.ndarray] | None = None,
              s: np.ndarray | None = None, start: int = 0) -> BatchTrace:
     """The layer loop of every batched pass, one column per input of ``h``;
     with a ``direction`` each layer's pre-activation, the output layer's
-    included, gains (U h) * s, scaled column by column.  From ``start`` > 0,
-    h is the hidden state below layer ``start`` and the pass runs only the
-    layers at and above it: the trace's hidden[j] and masks[j] are layer
-    start + j's."""
+    included, gains (U h) * s, scaled column by column, U the direction's
+    next entry: it is read in layer order, once per layer the pass runs,
+    and released after that layer's product.  From ``start`` > 0, h is the
+    hidden state below layer ``start`` and the pass runs only the layers at
+    and above it: the trace's hidden[j] and masks[j] are layer start + j's."""
     L = p.shape.L
+    layers = None if direction is None else iter(direction)
     hidden, masks = [], []
     for l in range(start, L + 1):
         pre = p.weights[l] @ h
-        if direction is not None:
-            pre += (direction[l] @ h) * s
+        if layers is not None:
+            pre += (next(layers) @ h) * s
         if l == L:
             return BatchTrace(hidden=tuple(hidden), masks=tuple(masks), outputs=pre)
         mask = pre >= 0.0
@@ -186,14 +188,16 @@ def forward_batch(p: Params, xs: np.ndarray) -> BatchTrace:
     return _forward(p, _inputs(p, xs).T)
 
 
-def forward_shifted(p: Params, direction: Sequence[np.ndarray], scales: Sequence[float],
+def forward_shifted(p: Params, direction: Iterable[np.ndarray], scales: Sequence[float],
                     xs: np.ndarray) -> tuple[BatchTrace, ...]:
     """The forward pass of ``xs`` through the net with weights W + sU, U the
     layer's entry of ``direction``, for every scale s, one trace per scale.
     The traces are views into one pass over the inputs stacked once per
     scale, in which each layer computes W H + (U H) * s, so no shifted weight
     matrix is built; the values differ from the shifted net's by the rounding
-    of the two products."""
+    of the two products.  ``direction`` is read in layer order, one layer
+    when the pass reaches it, so a generator that draws each layer into the
+    buffer of the one before keeps one direction layer alive at a time."""
     xs = _inputs(p, xs)
     n = len(xs)
     stacked = _forward(p, np.tile(xs.T, len(scales)), direction,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -73,7 +73,8 @@ def spectral_norm(a: np.ndarray, tol: float = 1e-8) -> float:
     # Fixed pseudorandom start so the solve is deterministic and almost
     # surely not orthogonal to the top singular subspace.
     start = RngState(seed=0x5EED, stream=a.shape[1]).generator().standard_normal((a.shape[1], 1))
-    return float(top_singular_values(lambda v: a @ v, lambda w: a.T @ w, start, tol).estimates[0])
+    (solve,) = top_singular_values(lambda v: a @ v, lambda w: a.T @ w, [start], tol)
+    return float(solve.estimates[0])
 
 
 @dataclass(frozen=True)
@@ -88,30 +89,41 @@ class SpectralSolve:
 def top_singular_values(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
+    starts: Sequence[np.ndarray],
     tol: float,
-) -> SpectralSolve:
-    """Largest singular value of one operator per column of ``start``, by
+) -> tuple[SpectralSolve, ...]:
+    """Largest singular value of one operator per start column, by
     Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization
-    (Golub & Kahan, SIAM J. Numer. Anal. B 2(2), 1965).
+    (Golub & Kahan, SIAM J. Numer. Anal. B 2(2), 1965); one ``SpectralSolve``
+    per block of ``starts``.
 
-    ``matvec`` and ``rmatvec`` apply an operator A and its adjoint to a block
-    of vectors column by column, so each column may see its own operator
-    (a per-sample masked weight chain).  The columns step in lockstep, one
-    product of each callable per step.  After k steps a column has
-    orthonormal bases V_k (from its start) and U_k with A V_k = U_k B_k,
+    The blocks (each inputs x columns, all with the same inputs) are stacked
+    side by side, and ``matvec`` and ``rmatvec`` apply an operator A and its
+    adjoint to the stacked block column by column, so each column may see
+    its own operator (a per-sample masked weight chain).  Every column steps
+    in lockstep, one call of each callable per step.  After k steps a column
+    has orthonormal bases V_k (from its start) and U_k with A V_k = U_k B_k,
     where B_k is k x k upper bidiagonal (diagonal alpha, superdiagonal beta).
     Its estimate theta_k, the top Ritz value, is B_k's largest singular
     value: it never decreases with k and never exceeds ||A||.  With
     B_k y = theta_k q and B_k^T q = theta_k y, the Ritz pair's residual
     ||A^T U_k q - theta_k V_k y|| is beta_k |e_k^T q|.
 
-    Stops once every column has |theta_k - theta_{k-1}| <= tol theta_k, and
-    raises ConvergenceError if that takes over ``SOLVER_MAX_STEPS`` steps.
-    A column stops earlier, with residual 0, at breakdown (a new alpha or
-    beta at rounding level: its Krylov space is invariant) or once its Krylov
-    space is exhausted (V_k spans A's input space, or U spanned its output
-    space a step earlier); it then feeds zero vectors to the products.
+    Each block stops on its own, at the first step k after which every one
+    of its columns has |theta_k - theta_{k-1}| <= tol theta_k or has ended:
+    its estimates, residuals and ``steps`` = k + 1 are then fixed, and its
+    columns feed zero vectors to the products from the next step on.  Every
+    other operation acts column by column, so with an operator that does
+    too, a block of two or more columns has the bits of its solve alone.  A
+    lone column takes other numpy paths (its norm summed pairwise, its first
+    projection a BLAS dot), so a one-column block matches its solo solve to
+    rounding only.  A column ends early, with residual 0, at breakdown (a
+    new alpha or beta at rounding level: its Krylov space is invariant) or
+    once its Krylov space is exhausted (V_k spans A's input space, or U
+    spanned its output space a step earlier); it then feeds zero vectors to
+    the products.  Raises ConvergenceError if a block runs over
+    ``SOLVER_MAX_STEPS`` steps, and ValueError, before any product, for a
+    zero or non-finite start column.
 
     The rule measures progress, not error, and can stall near sigma_2 when
     the start is nearly orthogonal to the top right singular vector.  On
@@ -122,6 +134,9 @@ def top_singular_values(
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    starts = [np.asarray(s, dtype=np.float64) for s in starts]
+    blocks = _blocks(starts)
+    start = np.hstack(starts)
     n_in, c = start.shape
     v = start / np.linalg.norm(start, axis=0)
     u = matvec(v)
@@ -131,6 +146,7 @@ def top_singular_values(
     alpha, beta = np.zeros((c, rows)), np.zeros((c, rows))
     theta = np.zeros(c)
     live = np.ones(c, dtype=bool)
+    solves: list[SpectralSolve | None] = [None] * len(blocks)
     rounding = np.finfo(np.float64).eps * max(n_in, n_out)
     for k in range(SOLVER_MAX_STEPS):
         if k == basis_v.shape[1]:
@@ -156,15 +172,48 @@ def top_singular_values(
         ending = live & ((beta[:, k] <= rounding * theta) | (k + 1 >= n_in))
         beta[ending, k] = 0.0
         live &= ~ending
-        if np.all(~live | (np.abs(theta - previous) <= tol * theta)):
-            # an ended column's residual is 0: its beta_k, or row k of its B_k, is 0
-            q = np.linalg.svd(_bidiagonal(alpha[live, :k + 1], beta[live, :k]))[0]
-            residual = np.zeros(c)
-            residual[live] = beta[live, k] * np.abs(q[:, -1, 0])
-            return SpectralSolve(theta, residual, k + 1)
+        settled = ~live | (np.abs(theta - previous) <= tol * theta)
+        for i, cols in enumerate(blocks):
+            if solves[i] is None and np.all(settled[cols]):
+                solves[i] = _fixed(theta[cols], alpha[cols, :k + 1], beta[cols, :k + 1],
+                                   live[cols], k + 1)
+                live[cols] = False
+        if all(s is not None for s in solves):
+            return tuple(solves)
         v = _normalize(w, beta[:, k], live)
     raise ConvergenceError(
         f"spectral solver did not converge in {SOLVER_MAX_STEPS} steps (last={theta})")
+
+
+def _blocks(starts: Sequence[np.ndarray]) -> list[slice]:
+    """Each start block's columns in the stacked block, after checking that
+    every block is 2-d with the first block's inputs and every column is
+    finite and nonzero."""
+    blocks, lo = [], 0
+    for i, s in enumerate(starts):
+        if s.ndim != 2 or s.shape[0] != starts[0].shape[0] or s.shape[1] < 1:
+            raise ShapeError(f"start block {i} has shape {s.shape}, expected "
+                             f"({starts[0].shape[0]}, c) with c >= 1")
+        bad = ~np.isfinite(s).all(axis=0) | ~s.any(axis=0)
+        if bad.any():
+            raise ValueError(f"start block {i} column {int(np.argmax(bad))} is "
+                             "zero or not finite")
+        blocks.append(slice(lo, lo + s.shape[1]))
+        lo += s.shape[1]
+    if not blocks:
+        raise ShapeError("top_singular_values needs at least one start block")
+    return blocks
+
+
+def _fixed(theta: np.ndarray, alpha: np.ndarray, beta: np.ndarray, live: np.ndarray,
+           steps: int) -> SpectralSolve:
+    """A block's solve after ``steps`` steps: its estimates and each live
+    column's Ritz residual beta_k |e_k^T q|.  An ended column's residual is 0:
+    its beta_k, or row k of its B_k, is 0."""
+    q = np.linalg.svd(_bidiagonal(alpha[live], beta[live, :-1]))[0]
+    residual = np.zeros(len(theta))
+    residual[live] = beta[live, -1] * np.abs(q[:, -1, 0])
+    return SpectralSolve(theta.copy(), residual, steps)
 
 
 def _double_rows(a: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 import numpy as np
 from scipy.special import ndtri
@@ -117,38 +118,67 @@ def _verdict(xs, series: dict[str, np.ndarray], bands: dict[str, tuple[float, fl
 # initialization geometry
 
 
-def masked_chain_norms(p: Params, trace: BatchTrace, a: int, b: int,
-                       tol: float = 1e-3) -> SpectralSolve:
-    """Per-sample spectral norms of W_b D_{b-1} ... D_a W_a, where D_l is the
-    sample's active-unit mask after hidden layer l: one ``top_singular_values``
-    solve, one column per sample, so every chain application is a single
-    matrix product per layer.
+# Stopping tolerance of ``init_probe``'s masked-chain solves; its accuracy
+# is stated in ``masked_chain_norms``.
+CHAIN_TOL = 1e-3
 
-    Accuracy at ``init_probe``'s tol 1e-3 on acceptance criterion 5's m=1024
+
+def masked_chain_norms(p: Params, trace: BatchTrace,
+                       tol: float = CHAIN_TOL) -> dict[tuple[int, int], SpectralSolve]:
+    """Per-sample spectral norms of every chain W_b D_{b-1} ... D_a W_a with
+    1 <= a <= b <= L-1, where D_l is the sample's active-unit mask after
+    hidden layer l, keyed by (a, b); {} at L = 1.
+
+    One ``top_singular_values`` call solves them all, one start block per
+    chain (its own ``RngState(0xC4A1, a*64 + b)`` draw, one column per
+    sample), and each block stops on its own rule.  The operator runs up the
+    hidden layers with one product W_l @ [...] per layer over every chain
+    through l: the chains that start at l, beside the masked continuations
+    of those that started below.  The adjoint runs down with one row-major
+    (G^T W_l)^T per layer, the same bits as W_l^T G.  A solver step thus
+    applies each hidden matrix once each way, not once per chain through it.
+    The price is the solver's bases: with c = n L (L-1) / 2 columns they
+    hold c x rows x 2m floats, rows 32 (m if smaller) doubled while the
+    steps outgrow it.
+
+    Accuracy at ``CHAIN_TOL`` (1e-3) on acceptance criterion 5's m=1024
     query net: every estimate is at most 1e-2 below ``np.linalg.svd``
     (``test_masked_chain_norms_at_init_probe_tol_match_svd``, on a subset).
     Over all ten chains and eight samples the worst was 4.8e-3; power
     iteration's stop on slow progress left the worst 3.6e-2 low.
     """
     L = p.shape.L
-    if not 1 <= a <= b <= L - 1:
-        raise ValueError("chain endpoints must satisfy 1 <= a <= b <= L-1")
+    chains = [(a, b) for a in range(1, L) for b in range(a, L)]
+    if not chains:
+        return {}
     n = trace.outputs.shape[1]
-    w = p.weights
+    w, masks = p.weights, trace.masks
+    cols = {chain: slice(i * n, (i + 1) * n) for i, chain in enumerate(chains)}
 
-    def chain(v: np.ndarray) -> np.ndarray:
-        x = w[a] @ v
-        for l in range(a, b):
-            x = np.where(trace.masks[l], x, 0.0)
-            x = w[l + 1] @ x
-        return x
+    def apply(v: np.ndarray, adjoint: bool) -> np.ndarray:
+        # the chain ends at which a sweep picks a chain up and puts it down
+        enter, leave = (1, 0) if adjoint else (0, 1)
+        out = np.empty_like(v)
+        carried = []  # (chain, masked state) of the chains going on from the last layer
+        for l in range(L - 1, 0, -1) if adjoint else range(1, L):
+            stack = carried + [(c, v[:, cols[c]]) for c in chains if c[enter] == l]
+            x = np.hstack([state for _, state in stack])
+            # numpy runs W^T G as a transposed GEMM; (G^T W)^T is the same
+            # product, bit for bit, as a faster row-major one
+            y = (x.T @ w[l]).T if adjoint else w[l] @ x
+            carried = []
+            for j, (c, _) in enumerate(stack):
+                yc = y[:, j * n:(j + 1) * n]
+                if c[leave] == l:
+                    out[:, cols[c]] = yc
+                else:
+                    carried.append((c, np.where(masks[l - 1 if adjoint else l], yc, 0.0)))
+        return out
 
-    def chain_t(v: np.ndarray) -> np.ndarray:
-        *_, x = backward_batch(p, trace.masks, v, b, a)
-        return x
-
-    start = RngState(seed=0xC4A1, stream=a * 64 + b).generator()
-    return top_singular_values(chain, chain_t, start.standard_normal((p.shape.m, n)), tol)
+    starts = [RngState(seed=0xC4A1, stream=a * 64 + b).generator().standard_normal((p.shape.m, n))
+              for a, b in chains]
+    solves = top_singular_values(lambda v: apply(v, False), lambda u: apply(u, True), starts, tol)
+    return dict(zip(chains, solves))
 
 
 def _backward_chain_ratios(p: Params, trace: BatchTrace) -> float:
@@ -189,9 +219,12 @@ def init_probe(qp: Params, kp: Params, data: Dataset) -> ProbeReport:
 
     Hidden norms must satisfy |log ||h||| <= log(1 + epsilon) with epsilon =
     ``hidden_norm_radius``; the reported deviation is exp(max |log ||h|||) - 1.
-    Over every chain solve, ``chain_solver_max_steps`` is the largest step
-    count and ``chain_max_residual_over_estimate`` the largest Ritz residual
-    over its estimate (a stall diagnostic, not an error bound; see
+    Each net's chains are solved in one ``masked_chain_norms`` call at
+    ``CHAIN_TOL``, one product per hidden layer each way per solver step,
+    each chain stopping on its own.  Over every chain solve,
+    ``chain_solver_max_steps`` is the largest step count and
+    ``chain_max_residual_over_estimate`` the largest Ritz residual over its
+    estimate (a stall diagnostic, not an error bound; see
     ``top_singular_values``).  At L = 1 there are no hidden-to-hidden
     chains, and their scalars are None.
     """
@@ -216,15 +249,12 @@ def init_probe(qp: Params, kp: Params, data: Dataset) -> ProbeReport:
             min_sep_ratio = min(min_sep_ratio, min_pairwise_distance(h.T) / data.delta)
         max_out = max(max_out, float(np.max(np.linalg.norm(trace.outputs, axis=0))))
         if chained:
-            for a in range(1, L):
-                for b in range(a, L):
-                    # tol 1e-3; for its accuracy see masked_chain_norms
-                    solve = masked_chain_norms(p, trace, a, b, tol=1e-3)
-                    max_chain = max(max_chain, float(solve.estimates.max()))
-                    chain_steps = max(chain_steps, solve.steps)
-                    live = solve.estimates > 0  # a zero estimate has a zero residual
-                    ratios = solve.residuals[live] / solve.estimates[live]
-                    chain_residual = max(chain_residual, float(ratios.max(initial=0.0)))
+            for solve in masked_chain_norms(p, trace).values():
+                max_chain = max(max_chain, float(solve.estimates.max()))
+                chain_steps = max(chain_steps, solve.steps)
+                live = solve.estimates > 0  # a zero estimate has a zero residual
+                ratios = solve.residuals[live] / solve.estimates[live]
+                chain_residual = max(chain_residual, float(ratios.max(initial=0.0)))
             backward_worst = max(backward_worst, _backward_chain_ratios(p, trace))
     if not chained:
         notes.append("L < 2: no hidden-to-hidden chains to measure")
@@ -468,6 +498,24 @@ def descent_check(trace: TrainTrace, n: int, d: int, m: int, delta: float,
 # perturbation response
 
 
+# Stopping tolerance of the spectral norm that scales each perturbation
+# direction's layer; its accuracy on Gaussian layers is stated in
+# ``linalg.spectral_norm``.
+DIRECTION_TOL = 1e-4
+
+
+def _unit_spectral_layers(p: Params, gen: np.random.Generator) -> Iterator[np.ndarray]:
+    """One Gaussian direction per layer of ``p``, drawn in layer order into
+    one buffer the size of the largest layer and divided in place by its
+    spectral norm; each draw overwrites the layer yielded before it."""
+    buf = np.empty(max(w.size for w in p.weights))
+    for w in p.weights:
+        g = buf[:w.size].reshape(w.shape)
+        gen.standard_normal(out=g)
+        g /= spectral_norm(g, tol=DIRECTION_TOL)
+        yield g
+
+
 def perturbation_probe(
     qp: Params, data: Dataset, omegas: tuple[float, ...],
     rng: RngState, n_directions: int = 8,
@@ -484,9 +532,10 @@ def perturbation_probe(
     at 0), so the flip exponent is 1.  The omega^{2/3} of Allen-Zhu, Li &
     Song (arXiv:1811.03962, Lemma 8.2) is a worst case over all perturbations
     of spectral norm omega, reached only by directions aimed at the units
-    nearest their kinks; it is reported in the notes, not checked.  At its
-    peak it holds one direction set of the query net, two stacked traces and
-    one layer's products.
+    nearest their kinks; it is reported in the notes, not checked.  Each
+    direction reaches the stacked pass one layer at a time, so at its peak
+    the probe holds one direction layer (the largest), two stacked traces
+    and one layer's products.
     """
     if list(omegas) != sorted(omegas) or min(omegas) < 0:
         raise ValueError("omegas must be non-negative and ascending")
@@ -495,13 +544,8 @@ def perturbation_probe(
     base_pattern = base.pattern
     flips, out_drift, hid_drift = (np.zeros((n_directions, len(omegas))) for _ in range(3))
     for di in range(n_directions):
-        gen = rng.child(f"dir-{di}").generator()
-        dirs = [gen.standard_normal(w.shape) for w in qp.weights]
-        for g in dirs:
-            # tol 1e-4; for its accuracy on Gaussian directions see spectral_norm
-            g /= spectral_norm(g, tol=1e-4)
-        traces = forward_shifted(qp, dirs, omegas, xs)
-        del dirs  # before the next direction's draw: one set alive at a time
+        direction = _unit_spectral_layers(qp, rng.child(f"dir-{di}").generator())
+        traces = forward_shifted(qp, direction, omegas, xs)
         for oi, t in enumerate(traces):
             flips[di, oi] = float(np.mean(t.pattern ^ base_pattern))
             out_drift[di, oi] = float(

@@ -11,8 +11,9 @@ import pytest
 from contrast_lab import Shape, generate_separated, init_params, monitors
 from contrast_lab.contrastive import (DEFAULT_ENUMERATION_CAP, HyperParams, encode_batch,
                                      total_loss_exact)
-from contrast_lab.encoder import Params, forward_batch
+from contrast_lab.encoder import Params, forward_batch, forward_shifted
 from contrast_lab.errors import ConvergenceError
+from contrast_lab.linalg import spectral_norm
 from contrast_lab.monitors import (
     ce_smoothness_check,
     descent_check,
@@ -71,15 +72,47 @@ def _dense_chain(p, trace, a, b, i):
 
 
 def test_masked_chain_norms_match_dense_oracle(setup):
-    _, data, qp, _, _ = setup
-    trace = forward_batch(qp, data.points)
-    for a, b in [(1, 1), (1, 2), (2, 2)]:
-        got = masked_chain_norms(qp, trace, a, b, tol=1e-9)
-        assert got.estimates.shape == got.residuals.shape == (data.n,)
-        assert 1 <= got.steps <= qp.shape.m
-        for i in range(data.n):
-            want = np.linalg.svd(_dense_chain(qp, trace, a, b, i), compute_uv=False)[0]
-            assert got.estimates[i] == pytest.approx(want, rel=1e-5)
+    root, data, qp, _, _ = setup
+    for p in (qp, init_params(root.child("chains-4"), Shape(L=4, m=64, d=8, b=8))):
+        L = p.shape.L
+        trace = forward_batch(p, data.points)
+        solves = masked_chain_norms(p, trace, tol=1e-9)
+        assert list(solves) == [(a, b) for a in range(1, L) for b in range(a, L)]
+        for (a, b), got in solves.items():
+            assert got.estimates.shape == got.residuals.shape == (data.n,)
+            assert 1 <= got.steps <= p.shape.m
+            for i in range(data.n):
+                want = np.linalg.svd(_dense_chain(p, trace, a, b, i), compute_uv=False)[0]
+                assert got.estimates[i] == pytest.approx(want, rel=1e-5)
+
+
+def test_masked_chain_norms_of_a_single_layer_net_are_empty(setup):
+    _, data, _, _, _ = setup
+    p = init_params(RngState(seed=5).child("q"), Shape(L=1, m=64, d=8, b=8))
+    assert masked_chain_norms(p, forward_batch(p, data.points)) == {}
+
+
+def test_chain_solve_holds_its_bases_and_a_few_vectors():
+    """Traced peak of one net's stacked chain solve: its bases, c x rows x
+    (n_in + n_out) floats for c = 6 chains x n samples and rows = 32 (the
+    solve takes at most 32 steps here, so the bases never double), plus
+    sixteen m x c arrays: the start blocks and their stack, v, u, w and
+    their projections, and each sweep's stack, product, carried states and
+    output."""
+    L, m, n = 4, 512, 6
+    root = RngState(seed=3)
+    data = generate_separated(root.child("data"), n, 8, 0.5)
+    p = init_params(root.child("p"), Shape(L=L, m=m, d=8, b=8))
+    trace = forward_batch(p, data.points)
+    tracemalloc.start()
+    try:
+        solves = masked_chain_norms(p, trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    c = n * len(solves)
+    assert max(s.steps for s in solves.values()) <= 32
+    assert peak <= c * 32 * (m + m) * 8 + 16 * m * c * 8
 
 
 def test_masked_chain_norms_at_init_probe_tol_match_svd():
@@ -90,8 +123,9 @@ def test_masked_chain_norms_at_init_probe_tol_match_svd():
     qp = init_params(root.child("q1024"), Shape(L=5, m=1024, d=64, b=16))
     trace = forward_batch(qp, data.points)
     errors = []
+    solves = masked_chain_norms(qp, trace)
     for a, b, samples in [(1, 1, 8), (2, 2, 8), (3, 3, 8), (4, 4, 8), (1, 4, 2)]:
-        got = masked_chain_norms(qp, trace, a, b).estimates[:samples]
+        got = solves[(a, b)].estimates[:samples]
         want = [np.linalg.svd(_dense_chain(qp, trace, a, b, i), compute_uv=False)[0]
                 for i in range(1 if a == b else samples)]  # a one-layer chain has no mask
         assert np.all(got <= np.multiply(want, 1 + 1e-12))
@@ -108,7 +142,7 @@ def test_dead_sample_chain_norm_is_zero(setup):
     dead = dataclasses.replace(trace, masks=tuple(masks))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = masked_chain_norms(qp, dead, 1, 2, tol=1e-9)
+        got = masked_chain_norms(qp, dead, tol=1e-9)[(1, 2)]
     assert got.estimates[0] == got.residuals[0] == 0.0
     assert np.all(got.estimates[1:] > 0)
     assert np.all(np.isfinite(got.residuals))
@@ -119,13 +153,13 @@ def test_masked_chain_norms_raise_at_step_cap(setup, monkeypatch):
     trace = forward_batch(qp, data.points)
     monkeypatch.setattr("contrast_lab.linalg.SOLVER_MAX_STEPS", 2)
     with pytest.raises(ConvergenceError):
-        masked_chain_norms(qp, trace, 1, 2, tol=1e-9)
+        masked_chain_norms(qp, trace, tol=1e-9)
 
 
 def test_init_probe_reports_chain_solver_diagnostics(setup):
     _, data, qp, kp, _ = setup
-    solves = [masked_chain_norms(p, forward_batch(p, data.points), a, b)
-              for p in (qp, kp) for a in (1, 2) for b in range(a, 3)]
+    solves = [solve for p in (qp, kp)
+              for solve in masked_chain_norms(p, forward_batch(p, data.points)).values()]
     s = init_probe(qp, kp, data).scalars
     assert s["chain_solver_max_steps"] == max(r.steps for r in solves)
     assert s["chain_max_residual_over_estimate"] == max(
@@ -376,14 +410,18 @@ def test_smoothness_probe_holds_one_direction_set():
     assert peak <= 2 * joint + largest + traces
 
 
-def test_perturbation_probe_holds_one_direction_set():
-    """Traced peak: one direction set, normalised in place, and two stacked
-    traces (the last direction's and the one being built), plus the stacked
-    pass's per-layer temporaries: the last layer's pre-activation, W H, U H
-    and (U H) * s, each m x columns floats.  Besides them live the unshifted
-    pass (n columns) and numpy's ufunc buffer of ``np.getbufsize()`` floats
-    for the broadcast scales.  Drawing a set while the last one lives,
-    normalising into a copy, or building shifted weight copies exceeds it."""
+def test_perturbation_probe_holds_one_direction_layer():
+    """Traced peak: one direction layer's buffer (the largest layer), two
+    stacked traces (the last direction's and the one being built), plus the
+    stacked pass's per-layer temporaries: the last layer's pre-activation,
+    W H, U H and (U H) * s, each m x columns floats, and one layer's
+    spectral solve, whose bases hold 32 rows of 2m floats (these layers
+    settle in at most 19 steps at ``DIRECTION_TOL``, so the bases never
+    double).  Besides them live the unshifted pass (n columns)
+    and numpy's ufunc buffer of ``np.getbufsize()`` floats for the
+    broadcast scales.  Drawing a whole direction set (three of this net's
+    five layers are 2 MB), normalising into copies, or building shifted
+    weight copies exceeds it."""
     L, m, n = 4, 512, 6
     root = RngState(seed=3)
     data = generate_separated(root.child("data"), n, 8, 0.5)
@@ -398,8 +436,41 @@ def test_perturbation_probe_holds_one_direction_set():
     columns = n * len(omegas)
     temporaries = 4 * m * columns * 8
     unshifted = _stacked_trace_bytes(p, n)
-    assert peak <= (sum(w.nbytes for w in p.weights) + 2 * _stacked_trace_bytes(p, columns)
-                    + temporaries + unshifted + np.getbufsize() * 8)
+    solve = 32 * 2 * m * 8
+    assert peak <= (max(w.nbytes for w in p.weights) + 2 * _stacked_trace_bytes(p, columns)
+                    + temporaries + solve + unshifted + np.getbufsize() * 8)
+
+
+def test_perturbation_probe_matches_drawing_each_direction_set_first(setup):
+    """The probe's scalars and fits equal a reference that draws each whole
+    direction set from the same stream, normalises it, and only then runs
+    the stacked pass."""
+    root, data, qp, _, _ = setup
+    omegas = (0.0, 1e-3, 1e-2, 1e-1)
+    report = perturbation_probe(qp, data, omegas, root.child("ref"), n_directions=3)
+    base = forward_batch(qp, data.points)
+    rows = []
+    for di in range(3):
+        gen = root.child("ref").child(f"dir-{di}").generator()
+        dirs = [gen.standard_normal(w.shape) for w in qp.weights]
+        dirs = [g / spectral_norm(g, tol=monitors.DIRECTION_TOL) for g in dirs]
+        rows.append([(float(np.mean(t.pattern ^ base.pattern)),
+                      float(np.max(np.linalg.norm(t.outputs - base.outputs, axis=0))),
+                      max(float(np.max(np.linalg.norm(h - h0, axis=0)))
+                          for h, h0 in zip(t.hidden, base.hidden)))
+                     for t in forward_shifted(qp, dirs, omegas, data.points)])
+    flips, out, hid = np.moveaxis(np.array(rows), 2, 0).mean(axis=1)
+    s = report.scalars
+    assert s["mean_flip_fractions"] == flips.tolist()
+    assert s["mean_output_drifts"] == out.tolist()
+    assert s["mean_hidden_drifts"] == hid.tolist()
+    series = {"flip_fraction_vs_omega": flips, "output_drift_vs_omega": out,
+              "hidden_drift_vs_omega": hid}
+    bands = {"flip_fraction_vs_omega": monitors.FLIP_SLOPE_BAND,
+             "output_drift_vs_omega": monitors.DRIFT_SLOPE_BAND}
+    fits, passed, notes = monitors._verdict(omegas, series, bands, monitors.R2_GATE,
+                                            "positive omegas")
+    assert report.fits == fits and report.passed == passed
 
 
 @pytest.mark.parametrize("probe", ["smoothness", "perturbation"])

@@ -5,8 +5,8 @@ the production paths they certify.  No module re-opens an array for writing
 once it has been frozen.  In ``encoder`` one layer loop serves every batched
 forward pass.  In ``contrastive`` one cached index enumerates the negative
 subsets and one function adds the anchors' mean losses.  In ``monitors``
-only ``_verdict`` fits a line, and no probe builds a shifted copy of the
-weights."""
+only ``_verdict`` fits a line, no probe builds a shifted copy of the
+weights, and every solver tolerance is a named constant."""
 
 import ast
 import functools
@@ -117,3 +117,15 @@ def test_only_verdict_fits_in_monitors():
     fitting = [getattr(node, "name", node.lineno) for node in _modules()["monitors"].body
                if "fit_loglog" in _used_names(node)]
     assert fitting == ["_verdict"], f"fit_loglog referenced from {fitting}"
+
+
+def test_monitors_name_every_solver_tolerance():
+    # CHAIN_TOL and DIRECTION_TOL are stated once, beside their accuracy
+    literal = [node.lineno for node in ast.walk(_modules()["monitors"])
+               if isinstance(node, ast.keyword) and node.arg == "tol"
+               and isinstance(node.value, ast.Constant)]
+    literal += [node.lineno for node in ast.walk(_modules()["monitors"])
+                if isinstance(node, ast.FunctionDef)
+                for arg, default in zip(node.args.args[::-1], node.args.defaults[::-1])
+                if arg.arg == "tol" and isinstance(default, ast.Constant)]
+    assert not literal, f"literal tol at monitors.py lines {literal}"
