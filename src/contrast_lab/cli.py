@@ -40,18 +40,11 @@ from .contrastive import (HyperParams, check_subsets, encode_batch, grad_params,
 from .data import Dataset, generate_separated
 from .encoder import Params, Shape, init_params
 from .errors import ConfigError, ContrastLabError
-from .monitors import (
-    PERTURBATION_OMEGAS,
-    SMOOTHNESS_RHOS,
-    ce_smoothness_check,
-    gradient_bound_probe,
-    init_probe,
-    perturbation_probe,
-    smoothness_probe,
-)
+from .monitors import (ce_smoothness_check, gradient_bound_probe, init_probe, perturbation_probe,
+                       smoothness_probe)
 from .oracle import DEFAULT_FD_STEP, fd_gradient, kink_mask
 from .rng import RngState
-from .trainer import TrainTrace, theoretical_step_size, train
+from .trainer import StepRecord, TrainTrace, theoretical_step_size, train
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,9 +53,10 @@ EXIT_INCONCLUSIVE = 3
 # Chance that a correct sampler fails verify's Monte-Carlo clause (two-sided).
 MC_FALSE_FAILURE_P = 1e-6
 
-# Per-step trace columns after ``t``, in the order both CSV writers use.
-TRACE_COLUMNS = ("loss", "losstilde_norm", "losshat_norm", "loss_vec_norm",
-                 "grad_w_fro", "grad_theta_fro", "traj_w_fro", "traj_theta_fro")
+# Per-step trace columns after ``t``, in the order both CSV writers use: the
+# record's fields less the step timing, which goes to timings.log only.
+TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(StepRecord)
+                      if f.name not in ("t", "step_ms"))
 TRACE_HEADER = ",".join(("t",) + TRACE_COLUMNS)
 
 
@@ -210,11 +204,11 @@ def _run_probe(name: str, cfg: ExperimentConfig, m_grid: tuple[int, ...], root: 
     if name == "gradient":
         return gradient_bound_probe(data, hp, m_grid, cfg.L, cfg.d, root.child("grad-probe"))
     if name == "smoothness":
-        return smoothness_probe(qp, kp, data, hp, SMOOTHNESS_RHOS, root.child("smooth-probe"))
+        return smoothness_probe(qp, kp, data, hp, root.child("smooth-probe"))
     if name == "perturbation":
-        return perturbation_probe(qp, data, PERTURBATION_OMEGAS, root.child("perturb-probe"))
+        return perturbation_probe(qp, data, root.child("perturb-probe"))
     if name == "ce":
-        return ce_smoothness_check(root.child("ce-probe"), trials=100_000)
+        return ce_smoothness_check(root.child("ce-probe"))
     raise ContrastLabError(f"unknown probe {name!r}")
 
 

@@ -301,8 +301,8 @@ class GradResult:
 def _param_gradient(p: Params, trace: BatchTrace, xs: np.ndarray, out_grads: np.ndarray,
                     out: Sequence[np.ndarray]) -> Params:
     """Gradient of (1/n) sum_i <out_grads[i], f(x_i)> w.r.t. the weights,
-    each layer's product written into its array of ``out``; the result wraps
-    read-only views, so ``out`` stays writable."""
+    each layer's product written into its array of ``out``, which stays
+    writable."""
     n = xs.shape[0]
     L = p.shape.L
     v = out_grads.T / n  # (d, n)
@@ -311,7 +311,7 @@ def _param_gradient(p: Params, trace: BatchTrace, xs: np.ndarray, out_grads: np.
     for l, g in zip(range(L - 1, -1, -1), backward_batch(p, trace.masks, v, L, 1)):
         below = trace.hidden[l - 1] if l > 0 else xs.T
         np.matmul(np.where(trace.masks[l], g, 0.0), below.T, out=out[l])
-    return Params(shape=p.shape, weights=tuple(o.view() for o in out))
+    return Params(shape=p.shape, weights=tuple(out))
 
 
 def grad_params(qp: Params, kp: Params, data: Dataset, hp: HyperParams,

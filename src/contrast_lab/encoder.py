@@ -39,6 +39,10 @@ class Shape:
 
 @dataclass(frozen=True)
 class Params:
+    """A net's weights, held as read-only views of the arrays it is given:
+    nothing writes through a Params, and the caller's arrays keep their
+    flags, so whoever owns them may still write them."""
+
     shape: Shape
     weights: tuple[np.ndarray, ...]
 
@@ -51,8 +55,10 @@ class Params:
         for l, (w, dim) in enumerate(zip(self.weights, dims)):
             if w.shape != dim:
                 raise ShapeError(f"layer {l}: expected shape {dim}, got {w.shape}")
-        for w in self.weights:
-            w.flags.writeable = False
+        views = tuple(w.view() for w in self.weights)
+        for v in views:
+            v.flags.writeable = False
+        object.__setattr__(self, "weights", views)
 
     def to_bytes(self) -> bytes:
         """Binary container: one JSON header line, then raw little-endian

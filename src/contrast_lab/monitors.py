@@ -4,11 +4,13 @@ supposed to satisfy into a measured ratio, residual, or scaling exponent.
 Probes never assume the hidden constants of the bounds they check are 1;
 they fit exponents and report band statistics.  Every fitted probe hands its
 sweep and named series to ``_verdict``, which fits each series log-log over
-the sweep's positive points when there are two or more distinct ones and the
-series is positive at each, and else skips it with a note.  A pass or fail
-needs three distinct positive points (a line fits two exactly) and fits that
-clear their R^2 gate (``GRADIENT_R2_GATE`` for gradient scaling, else
-``R2_GATE``); otherwise the probe reports "inconclusive".
+the sweep when it has two or more distinct points and the series is positive
+at each, and else skips it with a note.  A pass or fail needs three distinct
+points (a line fits two exactly) and fits that clear their R^2 gate
+(``GRADIENT_R2_GATE`` for gradient scaling, else ``R2_GATE``); otherwise the
+probe reports "inconclusive".  The two direction probes each run one
+configuration, their calibrated sweep over a fixed number of directions, so
+only the gradient probe's widths can make a sweep too short.
 """
 
 from __future__ import annotations
@@ -30,18 +32,21 @@ from .linalg import SpectralSolve, spectral_norm, top_singular_values
 from .rng import RngState
 from .trainer import TrainTrace
 
-# R^2 gates and [lo, hi] slope bands of the fitted probes, the sweeps the
-# smoothness and perturbation bands were calibrated on, and the draws of
-# ``ce_smoothness_check``: k in [1, CE_MAX_K], coordinates in [-CE_SCALE, CE_SCALE].
+# R^2 gates and [lo, hi] slope bands of the fitted probes, the sweeps and
+# direction counts the smoothness and perturbation bands were calibrated on,
+# and the draws of ``ce_smoothness_check``: CE_TRIALS random pairs, k in
+# [1, CE_MAX_K], coordinates in [-CE_SCALE, CE_SCALE].
 R2_GATE = 0.9
 GRADIENT_R2_GATE = 0.95
 GRADIENT_SLOPE_BAND = (0.85, 1.15)
 SMOOTHNESS_EXPONENT_BAND = (1.25, math.inf)
 SMOOTHNESS_RHOS = tuple(float(x) for x in np.geomspace(1e-4, 1e-2, 7))
+SMOOTHNESS_DIRECTIONS = 8
 FLIP_SLOPE_BAND = (0.8, 1.2)
 DRIFT_SLOPE_BAND = (0.9, 1.1)
 PERTURBATION_OMEGAS = tuple(float(x) for x in np.geomspace(1e-4, 1e-1, 7))
-CE_MAX_K, CE_SCALE, CE_TOL = 16, 10.0, 1e-12
+PERTURBATION_DIRECTIONS = 8
+CE_TRIALS, CE_MAX_K, CE_SCALE, CE_TOL = 100_000, 16, 10.0, 1e-12
 
 # Chance that a correct He initialization fails the hidden-norm clause of
 # ``init_probe`` at its derived radius (see ``hidden_norm_radius``).
@@ -93,16 +98,14 @@ class ProbeReport:
 def _verdict(xs, series: dict[str, np.ndarray], bands: dict[str, tuple[float, float]],
              r2_min: float, points: str) -> tuple[dict[str, FitResult], bool | None, tuple]:
     """(fits, verdict, notes) of a fitted probe by the module's rule: None
-    without three distinct positive ``xs`` or without every fit named in
-    ``bands`` at R^2 >= r2_min, else whether each such slope is in its band."""
-    xs = np.asarray(xs, dtype=np.float64)
-    live = xs > 0
-    distinct = len(set(xs[live].tolist()))
+    without three distinct ``xs`` (all positive) or without every fit named
+    in ``bands`` at R^2 >= r2_min, else whether each such slope is in its band."""
+    distinct = len(set(xs))
     fits, notes = {}, []
     for name, ys in series.items():
-        ys = np.asarray(ys, dtype=np.float64)[live]
+        ys = np.asarray(ys, dtype=np.float64)
         if distinct >= 2 and np.all(ys > 0):
-            fits[name] = fit_loglog(xs[live], ys)
+            fits[name] = fit_loglog(xs, ys)
         else:
             notes.append(f"{name} not fitted: needs two distinct {points}, positive at each")
     banded = [fits.get(name) for name in bands]
@@ -376,22 +379,20 @@ def _perturbed_losses(qp: Params, kp: Params, u: list, v: list, data: Dataset,
                               forward_shifted(kp, v, rhos, data.points))]
 
 
-def smoothness_probe(
-    qp: Params, kp: Params, data: Dataset, hp: HyperParams,
-    rhos: tuple[float, ...], rng: RngState, n_directions: int = 6,
-) -> ProbeReport:
+def smoothness_probe(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
+                     rng: RngState) -> ProbeReport:
     """First-order Taylor residual of the loss along random joint directions.
 
-    For unit-Frobenius (U, V) and each scale rho, measures
+    For ``SMOOTHNESS_DIRECTIONS`` unit-Frobenius (U, V) and each scale rho of
+    ``SMOOTHNESS_RHOS``, measures
     R(rho) = L(W + rho U, theta + rho V) - L(W, theta) - rho <grad, (U, V)>
     and fits log|R| against log rho.  A plain Lipschitz-smooth loss would give
     exponent 2; activation kinks contribute an intermediate-power error term,
-    so the fitted exponent should land in (1, 2], and at least 1.25 with the
-    default sweep.  At its peak it holds the base gradient set and one
-    direction set of both nets, their stacked traces and one layer's product.
+    so the fitted exponent should land in (1, 2], and at least 1.25 over this
+    sweep.  At its peak it holds the base gradient set and one direction set
+    of both nets, their stacked traces and one layer's product.
     """
-    if list(rhos) != sorted(rhos) or min(rhos) < 0:
-        raise ValueError("rhos must be non-negative and ascending")
+    rhos, n_directions = SMOOTHNESS_RHOS, SMOOTHNESS_DIRECTIONS
     base = grad_params(qp, kp, data, hp)
     residuals = np.zeros((n_directions, len(rhos)))
     for di in range(n_directions):
@@ -408,15 +409,14 @@ def smoothness_probe(
                                    {"abs_residual_vs_rho": SMOOTHNESS_EXPONENT_BAND},
                                    R2_GATE, "positive rhos")
     rho_arr = np.asarray(rhos)
-    fittable = rho_arr > 0
     # residual magnitude relative to the two structural error scales
     m, d, n = qp.shape.m, qp.shape.d, data.n
-    first_order_scale = rho_arr[fittable] ** (4 / 3) * math.sqrt(
+    first_order_scale = rho_arr ** (4 / 3) * math.sqrt(
         m * math.log(m) / (n * d)
     ) * base.loss_vectors.total_norm
-    second_order_scale = rho_arr[fittable] ** 2 * hp.k * qp.shape.L**2 * m**2 / d**2
+    second_order_scale = rho_arr ** 2 * hp.k * qp.shape.L**2 * m**2 / d**2
     with np.errstate(divide="ignore", invalid="ignore"):  # log m = 0 at m = 1
-        first_order_ratio = mean_abs[fittable] / first_order_scale
+        first_order_ratio = mean_abs / first_order_scale
     return ProbeReport(
         name="smoothness",
         statement=(
@@ -430,8 +430,7 @@ def smoothness_probe(
         scalars={
             "mean_abs_residuals": mean_abs.tolist(),
             "residual_over_first_order_scale": first_order_ratio.tolist(),
-            "residual_over_second_order_scale": (
-                mean_abs[fittable] / second_order_scale).tolist(),
+            "residual_over_second_order_scale": (mean_abs / second_order_scale).tolist(),
         },
         fits=fits,
         thresholds={"exponent_min": SMOOTHNESS_EXPONENT_BAND[0], "r2_min": R2_GATE},
@@ -516,16 +515,14 @@ def _unit_spectral_layers(p: Params, gen: np.random.Generator) -> Iterator[np.nd
         yield g
 
 
-def perturbation_probe(
-    qp: Params, data: Dataset, omegas: tuple[float, ...],
-    rng: RngState, n_directions: int = 8,
-) -> ProbeReport:
+def perturbation_probe(qp: Params, data: Dataset, rng: RngState) -> ProbeReport:
     """Activation-pattern and output response to weight perturbations.
 
-    Perturbs every layer by a random direction of spectral norm omega (the
-    same direction rescaled across the sweep, so spectral-normalization error
-    cancels out of the fitted exponents), then measures the fraction of
-    flipped ReLU masks and the output drift.
+    Perturbs every layer by each of ``PERTURBATION_DIRECTIONS`` random
+    directions at spectral norm omega for each omega of
+    ``PERTURBATION_OMEGAS`` (the same direction rescaled across the sweep, so
+    spectral-normalization error cancels out of the fitted exponents), then
+    measures the fraction of flipped ReLU masks and the output drift.
 
     Along a random direction each unit flips with probability proportional
     to omega (its pre-activation moves by O(omega) and has a bounded density
@@ -537,8 +534,7 @@ def perturbation_probe(
     the probe holds one direction layer (the largest), two stacked traces
     and one layer's products.
     """
-    if list(omegas) != sorted(omegas) or min(omegas) < 0:
-        raise ValueError("omegas must be non-negative and ascending")
+    omegas, n_directions = PERTURBATION_OMEGAS, PERTURBATION_DIRECTIONS
     xs = data.points
     base = forward_batch(qp, xs)
     base_pattern = base.pattern
@@ -560,15 +556,13 @@ def perturbation_probe(
               "hidden_drift_vs_omega": mean_hid}
     bands = {"flip_fraction_vs_omega": FLIP_SLOPE_BAND, "output_drift_vs_omega": DRIFT_SLOPE_BAND}
     fits, passed, notes = _verdict(omegas, series, bands, R2_GATE, "positive omegas")
-    live = np.asarray(omegas) > 0
-    drift_ratio = mean_out[live] / np.asarray(omegas)[live]
+    drift_ratio = mean_out / np.asarray(omegas)
     scalars = {
         "mean_flip_fractions": mean_flips.tolist(),
         "mean_output_drifts": mean_out.tolist(),
         "mean_hidden_drifts": mean_hid.tolist(),
         "drift_over_omega_band": (  # undefined when some drift is 0
-            float(drift_ratio.max() / drift_ratio.min())
-            if drift_ratio.size and drift_ratio.min() > 0 else math.nan),
+            float(drift_ratio.max() / drift_ratio.min()) if drift_ratio.min() > 0 else math.nan),
     }
     return ProbeReport(
         name="perturbation",
@@ -603,7 +597,7 @@ def _quadratic_bound_excess(ys: np.ndarray, yps: np.ndarray) -> np.ndarray:
     return log_partition(ys + yps) - g0 - np.sum(grad * yps, axis=1) - 0.5 * np.sum(yps**2, axis=1)
 
 
-def ce_smoothness_check(rng: RngState, trials: int) -> ProbeReport:
+def ce_smoothness_check(rng: RngState, trials: int = CE_TRIALS) -> ProbeReport:
     """Second-order upper bound on the softmax log-partition:
     g(y + y') <= g(y) + grad g(y) . y' + ||y'||^2 / 2, checked on random
     pairs plus one step along the gradient itself; g is the loss's ``log_partition``."""

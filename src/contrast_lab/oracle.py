@@ -49,7 +49,7 @@ def _nudges(p: Params, h: float, layers: int | None = None) -> Iterator[tuple[in
     walk writes through the copy while no caller can write through moved.
     """
     work = [w.copy() for w in p.weights]
-    moved = Params(shape=p.shape, weights=tuple(w.view() for w in work))
+    moved = Params(shape=p.shape, weights=tuple(work))
     for l, w in enumerate(work[:layers]):
         flat = w.ravel()
         for c in range(flat.size):

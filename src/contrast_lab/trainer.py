@@ -131,10 +131,6 @@ def _norms_and_step(p: Params, grad: Params, ref: Params, buf: np.ndarray,
     return math.sqrt(grad_sq), math.sqrt(dist_sq)
 
 
-def _net(p: Params, weights: WeightSet) -> Params:
-    return Params(shape=p.shape, weights=tuple(w.view() for w in weights))
-
-
 def _record(t: int, g: GradResult, norms: tuple[tuple[float, float], tuple[float, float]],
             started: float) -> StepRecord:
     """``norms`` holds (gradient, trajectory) Frobenius norms, query net first."""
@@ -189,7 +185,7 @@ def gd_step(
         norms = (_norms_and_step(qp, g.grad_w, ref_q, scratch, hp.eta, out[0]),
                  _norms_and_step(kp, g.grad_theta, ref_k, scratch, hp.gamma, out[1]))
         rec = _record(t, g, norms, started)
-    return _net(qp, out[0]), _net(kp, out[1]), rec
+    return Params(shape=qp.shape, weights=out[0]), Params(shape=kp.shape, weights=out[1]), rec
 
 
 def train(

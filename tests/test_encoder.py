@@ -154,6 +154,16 @@ def test_params_are_immutable(small_nets):
         qp.weights[0][0, 0] = 1.0
 
 
+def test_params_leave_the_callers_arrays_writable(small_nets):
+    qp, _ = small_nets
+    arrays = [w.copy() for w in qp.weights]
+    p = Params(shape=qp.shape, weights=tuple(arrays))
+    assert all(a.flags.writeable for a in arrays)
+    assert not any(w.flags.writeable for w in p.weights)
+    arrays[0][0, 0] = 1.0  # the owner's write shows through the read-only view
+    assert p.weights[0][0, 0] == 1.0
+
+
 def test_frobenius_distance_of_a_shift(small_nets, small_shape, frobenius_distance):
     qp, _ = small_nets
     direction = init_params(RngState(seed=23), small_shape)

@@ -8,7 +8,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from contrast_lab import Shape, generate_separated, init_params, monitors
+from contrast_lab import Shape, cli, generate_separated, init_params, monitors
+from contrast_lab.config import ExperimentConfig
 from contrast_lab.contrastive import (DEFAULT_ENUMERATION_CAP, HyperParams, encode_batch,
                                      total_loss_exact)
 from contrast_lab.encoder import Params, forward_batch, forward_shifted
@@ -297,28 +298,19 @@ def test_gradient_bound_probe_reports_both_encoders(setup):
 
 
 class TestSmoothnessProbe:
-    def test_zero_rho_residual_is_zero(self, setup):
-        root, data, qp, kp, hp = setup
-        report = smoothness_probe(qp, kp, data, hp, (0.0, 1e-3, 1e-2),
-                                  root.child("sp"), n_directions=2)
-        assert report.scalars["mean_abs_residuals"][0] == 0.0
-
     def test_direction_scale_reparameterization(self, setup):
         # perturbing by 2U at rho equals perturbing by U at 2 rho, so halving
         # all rhos while doubling the direction must reproduce the residuals;
         # here we check the equivalent statement on the raw loss values
         root, data, qp, kp, hp = setup
-        r1 = smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3),
-                              root.child("same"), n_directions=1)
-        r2 = smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3),
-                              root.child("same"), n_directions=1)
+        r1 = smoothness_probe(qp, kp, data, hp, root.child("same"))
+        r2 = smoothness_probe(qp, kp, data, hp, root.child("same"))
         assert r1.scalars["mean_abs_residuals"] == r2.scalars["mean_abs_residuals"]
 
     def test_config_counts_samples(self, setup):
         root, data, qp, kp, hp = setup
         assert data.points.shape[0] != data.points.shape[1]
-        report = smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3),
-                                  root.child("sp"), n_directions=1)
+        report = smoothness_probe(qp, kp, data, hp, root.child("sp"))
         assert report.config["n"] == len(data.points)
 
     def test_perturbed_losses_use_the_enumeration_cap(self, setup, monkeypatch):
@@ -331,8 +323,9 @@ class TestSmoothnessProbe:
             return total_loss_exact(batch, k, cap)
 
         monkeypatch.setattr(monitors, "total_loss_exact", spy)
-        smoothness_probe(qp, kp, data, hp, (1e-3, 2e-3), root.child("sp"), n_directions=1)
-        assert caps == [hp.enumeration_cap] * 2
+        smoothness_probe(qp, kp, data, hp, root.child("sp"))
+        calls = monitors.SMOOTHNESS_DIRECTIONS * len(monitors.SMOOTHNESS_RHOS)
+        assert caps == [hp.enumeration_cap] * calls
 
 
 def test_perturbed_losses_match_the_shifted_nets(setup, shifted, shifted_pass_bounds, gamma):
@@ -383,34 +376,35 @@ def _stacked_trace_bytes(p: Params, columns: int) -> int:
     return p.shape.L * p.shape.m * columns * (8 + 1) + p.shape.d * columns * 8
 
 
-def test_smoothness_probe_holds_one_direction_set():
+def test_smoothness_probe_holds_one_direction_set(monkeypatch):
     """Traced peak: the base gradient set and one direction set of both nets,
     plus what either phase of a direction adds to them.  The inner product
     <grad, (U, V)> builds one layer's product g * a; the stacked pass holds
     both nets' stacked traces and four per-layer temporaries of m x columns
     floats (0.7 MB here, below one 2 MB layer).  So the bound adds the largest
     layer and both traces.  Keeping the last direction alive through the next
-    draw, or normalising into copies, needs a third set."""
+    draw, or normalising into copies, needs a third set.  The directions run
+    one after another, so three show what eight would."""
     L, m, n = 4, 512, 6
     root = RngState(seed=3)
     data = generate_separated(root.child("data"), n, 8, 0.5)
     shape = Shape(L=L, m=m, d=8, b=8)
     qp, kp = init_params(root.child("q"), shape), init_params(root.child("k"), shape)
     hp = HyperParams(k=2, eta=0.05, gamma=0.05, T=1)
-    rhos = monitors.SMOOTHNESS_RHOS
+    monkeypatch.setattr(monitors, "SMOOTHNESS_DIRECTIONS", 3)
     tracemalloc.start()
     try:
-        smoothness_probe(qp, kp, data, hp, rhos, root.child("sp"), n_directions=3)
+        smoothness_probe(qp, kp, data, hp, root.child("sp"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     joint = sum(w.nbytes for w in qp.weights + kp.weights)
     largest = max(w.nbytes for w in qp.weights + kp.weights)
-    traces = 2 * _stacked_trace_bytes(qp, n * len(rhos))
+    traces = 2 * _stacked_trace_bytes(qp, n * len(monitors.SMOOTHNESS_RHOS))
     assert peak <= 2 * joint + largest + traces
 
 
-def test_perturbation_probe_holds_one_direction_layer():
+def test_perturbation_probe_holds_one_direction_layer(monkeypatch):
     """Traced peak: one direction layer's buffer (the largest layer), two
     stacked traces (the last direction's and the one being built), plus the
     stacked pass's per-layer temporaries: the last layer's pre-activation,
@@ -421,19 +415,20 @@ def test_perturbation_probe_holds_one_direction_layer():
     and numpy's ufunc buffer of ``np.getbufsize()`` floats for the
     broadcast scales.  Drawing a whole direction set (three of this net's
     five layers are 2 MB), normalising into copies, or building shifted
-    weight copies exceeds it."""
+    weight copies exceeds it.  Two directions show what eight would: the
+    second is drawn while the first one's traces are alive."""
     L, m, n = 4, 512, 6
     root = RngState(seed=3)
     data = generate_separated(root.child("data"), n, 8, 0.5)
     p = init_params(root.child("p"), Shape(L=L, m=m, d=8, b=8))
-    omegas = monitors.PERTURBATION_OMEGAS
+    monkeypatch.setattr(monitors, "PERTURBATION_DIRECTIONS", 2)
     tracemalloc.start()
     try:
-        perturbation_probe(p, data, omegas, root.child("pp"), n_directions=2)
+        perturbation_probe(p, data, root.child("pp"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    columns = n * len(omegas)
+    columns = n * len(monitors.PERTURBATION_OMEGAS)
     temporaries = 4 * m * columns * 8
     unshifted = _stacked_trace_bytes(p, n)
     solve = 32 * 2 * m * 8
@@ -446,11 +441,11 @@ def test_perturbation_probe_matches_drawing_each_direction_set_first(setup):
     direction set from the same stream, normalises it, and only then runs
     the stacked pass."""
     root, data, qp, _, _ = setup
-    omegas = (0.0, 1e-3, 1e-2, 1e-1)
-    report = perturbation_probe(qp, data, omegas, root.child("ref"), n_directions=3)
+    omegas = monitors.PERTURBATION_OMEGAS
+    report = perturbation_probe(qp, data, root.child("ref"))
     base = forward_batch(qp, data.points)
     rows = []
-    for di in range(3):
+    for di in range(monitors.PERTURBATION_DIRECTIONS):
         gen = root.child("ref").child(f"dir-{di}").generator()
         dirs = [gen.standard_normal(w.shape) for w in qp.weights]
         dirs = [g / spectral_norm(g, tol=monitors.DIRECTION_TOL) for g in dirs]
@@ -473,42 +468,26 @@ def test_perturbation_probe_matches_drawing_each_direction_set_first(setup):
     assert report.fits == fits and report.passed == passed
 
 
-@pytest.mark.parametrize("probe", ["smoothness", "perturbation"])
-def test_two_point_sweep_gives_no_verdict(setup, probe):
+def test_two_width_sweep_gives_no_verdict(setup):
     # a line through two points has R^2 = 1, so its slope alone decides nothing
-    root, data, qp, kp, hp = setup
-    if probe == "smoothness":
-        report = smoothness_probe(qp, kp, data, hp, (1e-3, 1e-2), root.child("two"),
-                                  n_directions=2)
-        points = "positive rhos"
-    else:
-        report = perturbation_probe(qp, data, (0.05, 0.1), root.child("two"), n_directions=2)
-        points = "positive omegas"
+    root, data, _, _, hp = setup
+    report = gradient_bound_probe(data, hp, (32, 64), L=2, d=8, rng=root.child("two"))
     assert all(f.r2 == pytest.approx(1.0) for f in report.fits.values())
     assert report.passed is None
-    assert f"fewer than three distinct {points}: no verdict" in report.notes
+    assert "fewer than three distinct widths: no verdict" in report.notes
 
 
-@pytest.mark.parametrize("probe", ["gradient", "smoothness", "perturbation"])
+@pytest.mark.parametrize("probe", ["gradient"])  # the only probe that takes a sweep
 @pytest.mark.parametrize("sweep", ["one point", "zero and one point"])
 def test_degenerate_sweep_is_inconclusive(setup, probe, sweep):
-    # one distinct positive point fits no line; a width of 0 is no net, so the
-    # gradient probe's second sweep repeats its one width instead
-    root, data, qp, kp, hp = setup
-    if probe == "gradient":
-        ms = (32,) if sweep == "one point" else (32, 32)
-        report = gradient_bound_probe(data, hp, ms, L=2, d=8, rng=root.child("deg"))
-        points = "widths"
-    elif probe == "smoothness":
-        rhos = (1e-3,) if sweep == "one point" else (0.0, 1e-3)
-        report = smoothness_probe(qp, kp, data, hp, rhos, root.child("deg"), n_directions=1)
-        points = "positive rhos"
-    else:
-        omegas = (1e-3,) if sweep == "one point" else (0.0, 1e-3)
-        report = perturbation_probe(qp, data, omegas, root.child("deg"), n_directions=1)
-        points = "positive omegas"
+    # one distinct width fits no line; a width of 0 is no net, so the second
+    # sweep repeats its one width instead.  The direction probes run their
+    # constant seven-point sweeps, so only the gradient probe's can be short.
+    root, data, _, _, hp = setup
+    ms = (32,) if sweep == "one point" else (32, 32)
+    report = gradient_bound_probe(data, hp, ms, L=2, d=8, rng=root.child("deg"))
     assert report.passed is None and report.fits == {}
-    assert f"fewer than three distinct {points}: no verdict" in report.notes
+    assert "fewer than three distinct widths: no verdict" in report.notes
 
 
 def test_descent_check_on_converging_run(setup):
@@ -531,17 +510,12 @@ def test_descent_check_flags_frozen_run(setup):
 
 
 class TestPerturbationProbe:
-    def test_zero_omega_row_is_exactly_zero(self, setup):
-        root, data, qp, _, _ = setup
-        report = perturbation_probe(qp, data, (0.0, 0.05), root.child("pp"),
-                                    n_directions=2)
+    def test_no_flips_reports_inconclusive(self):
+        # acceptance criterion 11's config (m=64), where the sweep's smallest
+        # omega flips no unit in any direction, so the flip law has no fit
+        root, data, qp, _, _ = cli._setup(ExperimentConfig(n=6, k=2, L=3, m=64, d=8, b=8, seed=1))
+        report = perturbation_probe(qp, data, root.child("perturb-probe"))
         assert report.scalars["mean_flip_fractions"][0] == 0.0
-        assert report.scalars["mean_output_drifts"][0] == 0.0
-
-    def test_no_flips_reports_inconclusive(self, setup):
-        root, data, qp, _, _ = setup
-        report = perturbation_probe(qp, data, (1e-13, 1e-12), root.child("pp2"),
-                                    n_directions=1)
         assert report.passed is None
         assert "flip_fraction_vs_omega" not in report.fits
         assert any(n.startswith("flip_fraction_vs_omega not fitted") for n in report.notes)

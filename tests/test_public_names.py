@@ -6,7 +6,8 @@ once it has been frozen.  In ``encoder`` one layer loop serves every batched
 forward pass.  In ``contrastive`` one cached index enumerates the negative
 subsets and one function adds the anchors' mean losses.  In ``monitors``
 only ``_verdict`` fits a line, no probe builds a shifted copy of the
-weights, and every solver tolerance is a named constant."""
+weights, every solver tolerance is a named constant, and each direction probe
+runs one configuration that no caller can change."""
 
 import ast
 import functools
@@ -129,3 +130,13 @@ def test_monitors_name_every_solver_tolerance():
                 for arg, default in zip(node.args.args[::-1], node.args.defaults[::-1])
                 if arg.arg == "tol" and isinstance(default, ast.Constant)]
     assert not literal, f"literal tol at monitors.py lines {literal}"
+
+
+def test_direction_probes_take_no_sweep():
+    # SMOOTHNESS_RHOS, PERTURBATION_OMEGAS and their direction counts are the
+    # calibrated configurations; probe and the acceptance criteria run the same
+    swept = [f"{node.name}({arg.arg})" for node in _modules()["monitors"].body
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+             for arg in node.args.args + node.args.kwonlyargs
+             if arg.arg in ("rhos", "omegas", "n_directions")]
+    assert not swept, f"public monitors functions take {swept}"
