@@ -117,8 +117,8 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     trace, qp_final, kp_final = train(qp, kp, data, hp, rng=root.child("mc-loss"))
     emit_trace(trace, out / "trace.csv")
     export_long_format(trace, out / "plot_data.csv")
-    (out / "params_query.bin").write_bytes(qp_final.to_bytes())
-    (out / "params_key.bin").write_bytes(kp_final.to_bytes())
+    qp_final.write(out / "params_query.bin")
+    kp_final.write(out / "params_key.bin")
     first, last = trace.records[0], trace.records[-1]
     _write_json(out / "summary.json", {
         **_stamp(cfg),

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -298,36 +298,48 @@ class GradResult:
     loss: float
 
 
-def _param_gradient(p: Params, trace: BatchTrace, xs: np.ndarray, out_grads: np.ndarray,
-                    out: Sequence[np.ndarray]) -> Params:
-    """Gradient of (1/n) sum_i <out_grads[i], f(x_i)> w.r.t. the weights,
-    each layer's product written into its array of ``out``, which stays
-    writable."""
-    n = xs.shape[0]
+def _layer_gradients(p: Params, trace: BatchTrace, xs: np.ndarray, out_grads: np.ndarray,
+                     scratch: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Gradient of (1/n) sum_i <out_grads[i], f(x_i)> w.r.t. each weight
+    layer, top layer first, each in the front of ``scratch`` (flat, at least
+    the largest layer's entries), which the next layer's overwrites, or in a
+    fresh array when it is None.  The back-propagation product through W_l is
+    formed before layer l's gradient is yielded, so at that yield the caller
+    may overwrite W_l."""
     L = p.shape.L
-    v = out_grads.T / n  # (d, n)
-    np.matmul(v, trace.hidden[L - 1].T, out=out[L])
-    # the gradient reaching layer l's output, for l = L-1 down to 0
-    for l, g in zip(range(L - 1, -1, -1), backward_batch(p, trace.masks, v, L, 1)):
+    dims = p.shape.layer_dims()
+    upper = out_grads.T / xs.shape[0]  # the masked gradient reaching layer l's output
+    chain = backward_batch(p, trace.masks, upper, L, 1)
+    for l in range(L, -1, -1):
+        g = next(chain, None)  # the product through W_l, None at l = 0
         below = trace.hidden[l - 1] if l > 0 else xs.T
-        np.matmul(np.where(trace.masks[l], g, 0.0), below.T, out=out[l])
-    return Params(shape=p.shape, weights=tuple(out))
+        out = (np.empty(dims[l]) if scratch is None
+               else scratch[:math.prod(dims[l])].reshape(dims[l]))
+        yield np.matmul(upper, below.T, out=out)
+        if l > 0:
+            upper = np.where(trace.masks[l - 1], g, 0.0)
 
 
-def grad_params(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
-                rng: RngState | None = None,
-                out: tuple[Sequence[np.ndarray], Sequence[np.ndarray]] | None = None,
-                ) -> GradResult:
-    """Closed-form gradients of the total loss for both encoders.  ``out``
-    holds one writable array per layer for each net, the query net's first;
-    the gradients are written there (into fresh arrays when it is None)."""
+def _gradients(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
+               rng: RngState | None = None, scratch: np.ndarray | None = None,
+               ) -> tuple[float, LossVectors, tuple[Iterator[np.ndarray], Iterator[np.ndarray]]]:
+    """The total loss, the loss vectors and each net's _layer_gradients, the
+    query net's first, both through ``scratch``: run one to its end before
+    starting the other."""
     batch = encode_batch(qp, kp, data)
     loss, lv = loss_and_vectors(
         batch, hp.k, cap=hp.enumeration_cap, mode=hp.mode,
         mc_samples=hp.mc_samples, rng=rng,
     )
-    if out is None:
-        out = tuple(tuple(np.empty(dim) for dim in qp.shape.layer_dims()) for _ in range(2))
-    grad_w = _param_gradient(qp, batch.query_trace, data.points, lv.losstilde, out[0])
-    grad_theta = _param_gradient(kp, batch.key_trace, data.points, lv.losshat, out[1])
+    return loss, lv, (_layer_gradients(qp, batch.query_trace, data.points, lv.losstilde, scratch),
+                      _layer_gradients(kp, batch.key_trace, data.points, lv.losshat, scratch))
+
+
+def grad_params(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
+                rng: RngState | None = None) -> GradResult:
+    """Closed-form gradients of the total loss for both encoders, in fresh
+    arrays."""
+    loss, lv, layers = _gradients(qp, kp, data, hp, rng)
+    grad_w, grad_theta = (Params(shape=p.shape, weights=tuple(reversed(list(grads))))
+                          for p, grads in zip((qp, kp), layers))
     return GradResult(grad_w=grad_w, grad_theta=grad_theta, loss_vectors=lv, loss=loss)

@@ -7,7 +7,6 @@ exactly zero count as active, so sigma(z) = mask * z holds exactly.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -60,17 +59,17 @@ class Params:
             v.flags.writeable = False
         object.__setattr__(self, "weights", views)
 
-    def to_bytes(self) -> bytes:
+    def write(self, path) -> None:
         """Binary container: one JSON header line, then raw little-endian
-        float64 payloads per layer, row-major.  Round-trip is bit-exact."""
+        float64 payloads per layer, row-major, streamed to ``path`` one layer
+        at a time.  Round-trip through from_bytes is bit-exact."""
         header = json.dumps(
             {"L": self.shape.L, "m": self.shape.m, "d": self.shape.d, "b": self.shape.b}
         ).encode()
-        buf = io.BytesIO()
-        buf.write(header + b"\n")
-        for w in self.weights:
-            buf.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        return buf.getvalue()
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n")
+            for w in self.weights:
+                fh.write(np.ascontiguousarray(w, dtype="<f8"))
 
     @staticmethod
     def from_bytes(blob: bytes) -> "Params":

@@ -6,10 +6,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .contrastive import GradResult, HyperParams, grad_params
+from .contrastive import HyperParams, _gradients
 from .data import Dataset
 from .encoder import Params
 from .errors import DivergenceError
@@ -70,8 +71,9 @@ WeightSet = tuple[np.ndarray, ...]  # one writable array per layer of a net
 BLOCK = 32_768
 
 
-def _weight_set(p: Params) -> WeightSet:
-    return tuple(np.empty(dim) for dim in p.shape.layer_dims())
+def _scratch(p: Params) -> np.ndarray:
+    """A step's scratch: the pass's block buffer, then one gradient layer."""
+    return np.empty(BLOCK + max(rows * cols for rows, cols in p.shape.layer_dims()))
 
 
 def _c_order(p: Params) -> Params:
@@ -101,58 +103,68 @@ def _layer_pass(g: np.ndarray, w: np.ndarray, w0: np.ndarray, buf: np.ndarray,
     """[sum of g**2, sum of (w - w0)**2] over flat layers, each with the bits
     of np.sum(np.square(.)), one leaf at a time through ``buf`` (at least
     BLOCK entries).  With ``o``, w + (-rate) * g is written there in the same
-    pass, each leaf after its g has been read, so ``g`` may be ``o``."""
+    pass, each leaf after its g and w have been read, so ``o`` may be ``g``
+    or ``w``."""
     def leaf(lo: int, hi: int) -> np.ndarray:
         b = buf[:hi - lo]
         gs, ws = g[lo:hi], w[lo:hi]
         sums = np.array((np.add.reduce(np.square(gs, out=b)),
                          np.add.reduce(np.square(np.subtract(ws, w0[lo:hi], out=b), out=b))))
         if o is not None:
-            step = o[lo:hi]
-            np.multiply(gs, -rate, out=step)
-            np.add(ws, step, out=step)
+            np.add(ws, np.multiply(gs, -rate, out=b), out=o[lo:hi])
         return sums
     return _pairwise(leaf, 0, g.size)
 
 
-def _norms_and_step(p: Params, grad: Params, ref: Params, buf: np.ndarray,
+def _norms_and_step(p: Params, grads: Iterator[np.ndarray], ref: Params, buf: np.ndarray,
                     rate: float = 0.0, out: WeightSet | None = None) -> tuple[float, float]:
-    """||grad||_F and ||p - ref||_F, the squares added layer by layer, in one
-    pass over each layer (see _layer_pass); with ``out`` (C-ordered, sharing
-    no memory with ``p`` or ``ref``), the step p - rate * grad is taken there
-    in the same pass.  Layers that are not C-contiguous are read through a
-    C-ordered copy."""
-    grad_sq = dist_sq = 0.0
-    for l, (w, w0, g) in enumerate(zip(p.weights, ref.weights, grad.weights)):
+    """||grad||_F and ||p - ref||_F from the layers ``grads`` yields, top
+    layer first, in one pass over each layer as it is yielded (see
+    _layer_pass), the squares added in layer order 0..L; with ``out``
+    (C-ordered, sharing no memory with ``ref``), the step p - rate * grad is
+    taken there in the same pass, so ``out`` may hold p's own weights."""
+    sums = [None] * len(p.weights)
+    for l, g in zip(range(p.shape.L, -1, -1), grads):
         o = out[l].reshape(-1) if out is not None else None
-        gg, dd = _layer_pass(g.reshape(-1), w.reshape(-1), w0.reshape(-1), buf, rate, o)
+        sums[l] = _layer_pass(g.reshape(-1), p.weights[l].reshape(-1),
+                              ref.weights[l].reshape(-1), buf, rate, o)
+    grad_sq = dist_sq = 0.0
+    for gg, dd in sums:
         grad_sq += float(gg)
         dist_sq += float(dd)
     return math.sqrt(grad_sq), math.sqrt(dist_sq)
 
 
-def _record(t: int, g: GradResult, norms: tuple[tuple[float, float], tuple[float, float]],
-            started: float) -> StepRecord:
-    """``norms`` holds (gradient, trajectory) Frobenius norms, query net first."""
-    lv = g.loss_vectors
-    (grad_w_fro, traj_w_fro), (grad_theta_fro, traj_theta_fro) = norms
-    rec = StepRecord(
-        t=t,
-        loss=g.loss,
-        losstilde_norm=lv.tilde_norm,
-        losshat_norm=lv.hat_norm,
-        loss_vec_norm=lv.total_norm,
-        grad_w_fro=grad_w_fro,
-        grad_theta_fro=grad_theta_fro,
-        traj_w_fro=traj_w_fro,
-        traj_theta_fro=traj_theta_fro,
-        step_ms=(time.perf_counter() - started) * 1000.0,  # after the fields above
-    )
-    # A NaN or infinite gradient entry makes its sum of squares, and so its
-    # norm, non-finite.  So does a finite gradient whose squared norm
-    # overflows float64 (norm above about 1.3e154): that step raises too.
-    if not all(math.isfinite(x) for x in (rec.loss, rec.grad_w_fro, rec.grad_theta_fro)):
-        raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
+def _record(qp: Params, kp: Params, data: Dataset, hp: HyperParams, ref: tuple[Params, Params],
+            rng: RngState | None, t: int, scratch: np.ndarray,
+            out: tuple[WeightSet, WeightSet] | None = None) -> StepRecord:
+    """The record of (qp, kp) at step t, its gradients taken through
+    ``scratch`` (see _scratch); with ``out``, the step is taken there (see
+    gd_step).  step_ms runs from the gradient to the end of the record."""
+    started = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, lv, layers = _gradients(qp, kp, data, hp, rng, scratch[BLOCK:])
+        (grad_w_fro, traj_w_fro), (grad_theta_fro, traj_theta_fro) = (
+            _norms_and_step(p, grads, r, scratch[:BLOCK], rate, o)
+            for p, grads, r, rate, o in zip((qp, kp), layers, ref, (hp.eta, hp.gamma),
+                                            out or (None, None)))
+        rec = StepRecord(
+            t=t,
+            loss=loss,
+            losstilde_norm=lv.tilde_norm,
+            losshat_norm=lv.hat_norm,
+            loss_vec_norm=lv.total_norm,
+            grad_w_fro=grad_w_fro,
+            grad_theta_fro=grad_theta_fro,
+            traj_w_fro=traj_w_fro,
+            traj_theta_fro=traj_theta_fro,
+            step_ms=(time.perf_counter() - started) * 1000.0,  # after the fields above
+        )
+        # A NaN or infinite gradient entry makes its sum of squares, and so its
+        # norm, non-finite.  So does a finite gradient whose squared norm
+        # overflows float64 (norm above about 1.3e154): that step raises too.
+        if not all(math.isfinite(x) for x in (rec.loss, rec.grad_w_fro, rec.grad_theta_fro)):
+            raise DivergenceError(f"non-finite loss or gradient at iteration {t}")
     return rec
 
 
@@ -167,24 +179,20 @@ def gd_step(
     """One simultaneous update: both gradients are evaluated at the same
     (W, theta) before either parameter moves.
 
-    ``out`` holds one writable set of weight arrays per net, query net first,
-    that shares no memory with ``qp``, ``kp`` or ``ref``: the gradients are
-    written there, and one pass per layer then takes their norms, the
-    trajectory norms and the step there in place, so the returned nets are
-    views of ``out``.  ``scratch`` is that pass's block buffer (BLOCK
-    entries).  Either is allocated when None.  Overflow and invalid values
-    are left to the record's finiteness check, which raises DivergenceError."""
+    ``out`` holds one writable, C-ordered set of weight arrays per net, query
+    net first, sharing no memory with ``ref``: each layer's step is taken
+    there as soon as its gradient is yielded, in the same pass as its norms
+    (see _norms_and_step), and the returned nets are views of ``out``.  It
+    may hold the nets' own weights (``qp`` and ``kp`` views of it), which are
+    then stepped in place.  ``scratch`` holds that pass's block buffer and
+    one gradient layer (see _scratch).  Either is allocated when None, so
+    without them the step is taken in fresh arrays and the caller's nets
+    are never written.  Overflow and invalid values are left to the record's
+    finiteness check, which raises DivergenceError."""
     if out is None:
-        out = (_weight_set(qp), _weight_set(kp))
-    if scratch is None:
-        scratch = np.empty(BLOCK)
-    ref_q, ref_k = ref if ref is not None else (qp, kp)
-    started = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = grad_params(qp, kp, data, hp, rng=rng, out=out)
-        norms = (_norms_and_step(qp, g.grad_w, ref_q, scratch, hp.eta, out[0]),
-                 _norms_and_step(kp, g.grad_theta, ref_k, scratch, hp.gamma, out[1]))
-        rec = _record(t, g, norms, started)
+        out = tuple(tuple(np.empty(dim) for dim in p.shape.layer_dims()) for p in (qp, kp))
+    rec = _record(qp, kp, data, hp, ref if ref is not None else (qp, kp), rng, t,
+                  _scratch(qp) if scratch is None else scratch, out)
     return Params(shape=qp.shape, weights=out[0]), Params(shape=kp.shape, weights=out[1]), rec
 
 
@@ -194,28 +202,23 @@ def train(
 ) -> tuple[TrainTrace, Params, Params]:
     """Run T simultaneous gradient-descent steps, recording T+1 states.
 
-    train owns two weight sets per net and one block buffer.  Step t writes
-    into the set that does not hold W_t (see gd_step); the set that held W_t
-    then takes step t+1's gradients, once the nets over it are dropped.  So
-    after the first step no step allocates a weight-sized array.  Caller
-    nets that are not C-ordered are copied once, here.  The caller's nets
-    are never written, and neither are the returned ones."""
+    train owns one weight set per net, a C-ordered copy of the caller's
+    nets, and steps it in place (see gd_step), plus one scratch of the
+    largest layer and a block buffer; no step allocates a weight-sized
+    array.  The caller's nets, copied once here when they are not C-ordered,
+    stay W_0 and are never written; the returned nets view the working set."""
     trace = TrainTrace()
-    sets = [(_weight_set(qp0), _weight_set(kp0)) for _ in range(2)]
-    buf = np.empty(BLOCK)
-    ref = qp, kp = _c_order(qp0), _c_order(kp0)
+    ref = _c_order(qp0), _c_order(kp0)
+    work = tuple(tuple(w.copy() for w in p.weights) for p in ref)
+    qp, kp = (Params(shape=p.shape, weights=ws) for p, ws in zip(ref, work))
+    scratch = _scratch(qp)
     mc_rng = rng.child("mc") if rng is not None else None
     for t in range(hp.T):
         step_rng = mc_rng.child(f"t{t}") if mc_rng is not None else None
         qp, kp, rec = gd_step(qp, kp, data, hp, ref=ref, rng=step_rng, t=t,
-                              out=sets[t % 2], scratch=buf)
+                              out=work, scratch=scratch)
         trace.records.append(rec)
     # closing record: metrics of the final parameters, no update applied
-    started = time.perf_counter()
     final_rng = mc_rng.child("final") if mc_rng is not None else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = grad_params(qp, kp, data, hp, rng=final_rng, out=sets[hp.T % 2])
-        norms = (_norms_and_step(qp, g.grad_w, ref[0], buf),
-                 _norms_and_step(kp, g.grad_theta, ref[1], buf))
-        trace.records.append(_record(len(trace), g, norms, started))
+    trace.records.append(_record(qp, kp, data, hp, ref, final_rng, len(trace), scratch))
     return trace, qp, kp

@@ -444,6 +444,28 @@ def test_grad_params_matches_reverse_accumulation_oracle(small_nets, small_data)
         assert np.allclose(a, b, atol=1e-10 * max(1.0, np.abs(b).max()))
 
 
+def test_each_layer_may_be_overwritten_at_its_gradients_yield(small_nets, small_data):
+    """Each net's layer gradients come top layer first through one scratch
+    the size of the largest layer, each after the back-propagation product
+    through its layer: with every layer's weights set to NaN at its yield,
+    every gradient still equals grad_params', bit for bit."""
+    hp = HyperParams(k=2, eta=0.1, gamma=0.1, T=1)
+    want = grad_params(*small_nets, small_data, hp)
+    arrays = [[w.copy() for w in p.weights] for p in small_nets]
+    nets = [Params(shape=p.shape, weights=tuple(ws)) for p, ws in zip(small_nets, arrays)]
+    scratch = np.empty(max(w.size for w in small_nets[0].weights))
+    loss, _, layers = contrastive._gradients(*nets, small_data, hp, scratch=scratch)
+    assert loss == want.loss
+    for ws, grads, ref in zip(arrays, layers, (want.grad_w, want.grad_theta)):
+        yielded = []
+        for l, g in zip(range(len(ws) - 1, -1, -1), grads):
+            assert np.shares_memory(g, scratch)
+            assert g.tobytes() == ref.weights[l].tobytes(), l
+            ws[l][...] = np.nan
+            yielded.append(l)
+        assert yielded == list(range(len(ws) - 1, -1, -1))
+
+
 def test_grad_of_zero_weights_is_zero(small_shape, small_data):
     qp = kp = Params(shape=small_shape,
                      weights=tuple(np.zeros(dim) for dim in small_shape.layer_dims()))

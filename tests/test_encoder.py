@@ -140,12 +140,22 @@ def test_forward_shifted_matches_the_shifted_nets(m, small_data, shifted, shifte
             assert np.array_equal(got.masks[l][decided], want.masks[l][decided])
 
 
-def test_bytes_round_trip_is_bit_exact(small_nets):
+def test_bytes_round_trip_is_bit_exact(small_nets, tmp_path):
+    """The written file is the header line and each layer's row-major
+    float64 bytes, whatever the layers' memory order, and from_bytes reads
+    it back."""
     qp, _ = small_nets
-    back = Params.from_bytes(qp.to_bytes())
-    assert back.shape == qp.shape
-    for a, b in zip(back.weights, qp.weights):
-        assert a.tobytes() == b.tobytes()
+    want = b'{"L": 3, "m": 32, "d": 8, "b": 8}\n'
+    want += b"".join(w.astype("<f8").tobytes() for w in qp.weights)
+    for order in "CF":
+        path = tmp_path / f"params-{order}.bin"
+        weights = tuple(np.asarray(w, order=order) for w in qp.weights)
+        Params(shape=qp.shape, weights=weights).write(path)
+        assert path.read_bytes() == want
+        back = Params.from_bytes(want)
+        assert back.shape == qp.shape
+        for a, b in zip(back.weights, qp.weights):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_params_are_immutable(small_nets):

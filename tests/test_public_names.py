@@ -65,8 +65,8 @@ def test_public_name_has_a_caller(module, name):
 # The reference paths and the production names they must not reach.
 INDEPENDENT = {"encoder": ("forward_trace", "backprop_matrix"),
                "oracle": ("fd_gradient", "enumerate_subsets")}
-PRODUCTION = {"_forward", "forward_batch", "backward_batch", "_param_gradient", "grad_params",
-              "loss_and_vectors"}
+PRODUCTION = {"_forward", "forward_batch", "backward_batch", "_layer_gradients", "_gradients",
+              "grad_params", "loss_and_vectors"}
 
 
 @pytest.mark.parametrize("module, name", [(m, f) for m, fs in INDEPENDENT.items() for f in fs])

@@ -101,16 +101,19 @@ def test_one_non_finite_gradient_entry_raises(small_nets_module, monkeypatch, ba
     """A single NaN or +inf in one key-net gradient layer, with the loss
     finite, stops training at iteration 0."""
     qp, kp, data = small_nets_module
-    original = trainer.grad_params
+    original = trainer._gradients
 
-    def spoiled_grad_params(*args, **kwargs):
-        g = original(*args, **kwargs)
-        layers = [w.copy() for w in g.grad_theta.weights]
-        layers[1][0, 0] = bad
-        return dataclasses.replace(g, grad_theta=Params(shape=g.grad_theta.shape,
-                                                        weights=tuple(layers)))
+    def spoiled(layers):
+        for l, g in zip(range(kp.shape.L, -1, -1), layers):
+            if l == 1:
+                g[0, 0] = bad
+            yield g
 
-    monkeypatch.setattr(trainer, "grad_params", spoiled_grad_params)
+    def spoiled_gradients(*args, **kwargs):
+        loss, lv, (query, key) = original(*args, **kwargs)
+        return loss, lv, (query, spoiled(key))
+
+    monkeypatch.setattr(trainer, "_gradients", spoiled_gradients)
     with pytest.raises(DivergenceError, match="iteration 0$"):
         train(qp, kp, data, HyperParams(k=2, eta=0.05, gamma=0.05, T=3))
 
@@ -254,6 +257,24 @@ def test_a_step_allocates_no_weight_sized_array(monkeypatch):
     assert max(peaks) < qp.shape.m * qp.shape.m * 8, peaks
 
 
+def test_train_holds_one_weight_set_per_net():
+    """train's peak above its starting allocation stays below one weight set
+    of both nets, one m x m gradient layer, the block buffer and half a MiB
+    for the traces and the loss: it steps one copy of the caller's nets in
+    place.  A second set of both nets (2.2 MiB at this shape), for the
+    gradients or the next step, would not fit."""
+    qp, kp, data = _allocation_nets(17)
+    weights = sum(w.nbytes for w in qp.weights + kp.weights)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train(qp, kp, data, HyperParams(k=2, eta=0.05, gamma=0.05, T=3))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < weights + (qp.shape.m ** 2 + trainer.BLOCK) * 8 + 2 ** 19, peak
+
+
 def test_fortran_ordered_nets_are_not_copied_every_step(monkeypatch):
     """train copies caller nets that are not C-ordered once, before the first
     step, so no step copies a layer to walk it in C order."""
@@ -283,7 +304,7 @@ def test_blocked_sums_of_squares_are_numpys_sums(monkeypatch, block):
     """The step's pass gives each layer's sum of squares with the bits of
     np.sum(np.square(.)), at the module's leaf size and at small ones whose
     trees are deep, and takes the step with the bits of w + (-rate) * g,
-    also in place over the gradient."""
+    also in place over the gradient or the weights."""
     if block is not None:
         monkeypatch.setattr(trainer, "BLOCK", block)
     buf = np.empty(trainer.BLOCK)
@@ -298,6 +319,9 @@ def test_blocked_sums_of_squares_are_numpys_sums(monkeypatch, block):
         assert o.tobytes() == step.tobytes(), n
         o = g.copy()
         assert tuple(trainer._layer_pass(o, w, w0, buf, rate, o)) == want, n
+        assert o.tobytes() == step.tobytes(), n
+        o = w.copy()
+        assert tuple(trainer._layer_pass(g, o, w0, buf, rate, o)) == want, n
         assert o.tobytes() == step.tobytes(), n
         assert tuple(trainer._layer_pass(g, w, w0, buf)) == want, n
 
