@@ -28,7 +28,7 @@ from .encoder import (
     init_params,
 )
 from .rng import RngState
-from .trainer import TrainTrace, gd_step, theoretical_step_size, train
+from .trainer import TrainTrace, theoretical_step_size, train
 
 __all__ = [
     "__version__",
@@ -41,5 +41,5 @@ __all__ = [
     "Params", "Shape", "backprop_matrix", "forward_batch", "forward_trace",
     "init_params",
     "RngState",
-    "TrainTrace", "gd_step", "theoretical_step_size", "train",
+    "TrainTrace", "theoretical_step_size", "train",
 ]

@@ -53,10 +53,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         # the two float64 weight stacks alone; beyond physical memory, init fails
         weight_bytes = 2 * 8 * (self.m * self.b + (self.L - 1) * self.m**2 + self.d * self.m)
+        # a Monte-Carlo call holds at most four (samples, n, k) float64 tables
+        mc_bytes = 4 * 8 * self.mc_samples * self.n * self.k
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if weight_bytes > memory:
             raise ConfigError(f"the two weight stacks need {weight_bytes} bytes, "
                               f"more than the {memory} bytes of physical memory")
+        if self.mode == "monte-carlo" and mc_bytes > memory:
+            raise ConfigError(f"mc_samples {self.mc_samples} needs {mc_bytes} bytes per "
+                              f"Monte-Carlo call, more than the {memory} bytes of physical memory")
         if self.b < 2:
             raise ConfigError(f"b must be at least 2, got {self.b}")
         if self.k > self.n - 1:

@@ -174,22 +174,24 @@ def _exact_groups(n: int, k: int, cap: int) -> tuple[tuple[slice, np.ndarray], .
                  for lo in range(0, n, size))
 
 
-def _mc_index(rng: RngState, samples: int, n: int, k: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """Uniform negative subsets, `samples` per anchor, as (rows, index).
+def _mc_index(rng: RngState, samples: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform negative subsets, `samples` per anchor, as (rows, table): the
+    draw s of anchor i is table[i, rows[s, i]], an index (k,) into all n
+    anchors' logits.
 
     When an anchor has no more subsets than there are draws, C(n-1, k) <=
-    samples, index is _subset_index(n, k, n), as the exact loss gathers one
-    group of every anchor, and rows (samples, n) picks each draw's subset:
-    index[i, row] of anchor i.  The table of every anchor's subset losses
-    holds no more logits than the draw.  Above it rows is None and index
-    (samples, n, k) is the Floyd draw as an index into all n anchors' logits."""
+    samples, table is _subset_index(n, k, n), as the exact loss gathers one
+    group of every anchor, and rows (samples, n) picks each draw's subset;
+    the table of every anchor's subset losses holds no more logits than the
+    draw.  Above it table (n, samples, k) is the Floyd draw, anchor-major,
+    and rows[s, i] = s."""
     check_subsets(n, k)
     subsets = math.comb(n - 1, k)
     if subsets <= samples:
         return _draw_rows(rng.generator(), samples, n, subsets), _subset_index(n, k, n)
     flat = _draw_subsets(rng.generator(), samples, n, k)
     flat += (np.arange(n) * (n - 1))[:, None]
-    return None, flat
+    return np.broadcast_to(np.arange(samples)[:, None], (samples, n)), flat.transpose(1, 0, 2)
 
 
 def _anchor_mean(means: list[np.ndarray], n: int) -> float:
@@ -212,11 +214,9 @@ def total_loss_mc(
     losses from the (n, C(n-1, k)) table of the losses the exact loss averages."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    rows, index = _mc_index(rng, samples, batch.n, k)
-    losses = log_partition(_logit_table(batch, slice(None))[2].ravel()[index])
-    if rows is not None:
-        losses = losses[np.arange(batch.n), rows]
-    draws = losses.mean(axis=1)
+    rows, table = _mc_index(rng, samples, batch.n, k)
+    losses = log_partition(_logit_table(batch, slice(None))[2].ravel()[table])
+    draws = losses[np.arange(batch.n), rows].mean(axis=1)
     return float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(samples))
 
 
@@ -265,13 +265,11 @@ def loss_and_vectors(
             raise ValueError("monte-carlo mode needs an rng")
         if mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        rows, index = _mc_index(rng, mc_samples, n, k)
-        if rows is not None:
-            index = index[np.arange(n), rows]  # each draw's subset, (samples, n, k)
-        # anchor-major and C-ordered, so that each anchor's mean runs over
-        # contiguous losses
-        flat = np.ascontiguousarray(index.transpose(1, 0, 2))
-        del rows, index  # free them before the kernel gathers the logits
+        rows, table = _mc_index(rng, mc_samples, n, k)
+        # each draw's subset, (n, samples, k), anchor-major and C-ordered, so
+        # that each anchor's mean runs over contiguous losses
+        flat = np.ascontiguousarray(table[np.arange(n)[:, None], rows.T])
+        del rows, table  # free them before the kernel gathers the logits
         groups = [(slice(None), flat)]
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -71,11 +71,6 @@ WeightSet = tuple[np.ndarray, ...]  # one writable array per layer of a net
 BLOCK = 32_768
 
 
-def _scratch(p: Params) -> np.ndarray:
-    """A step's scratch: the pass's block buffer, then one gradient layer."""
-    return np.empty(BLOCK + max(rows * cols for rows, cols in p.shape.layer_dims()))
-
-
 def _c_order(p: Params) -> Params:
     """``p`` when every layer is C-contiguous, else a C-ordered copy, so that
     the step's flat walk reads it without copying it again each step."""
@@ -117,7 +112,7 @@ def _layer_pass(g: np.ndarray, w: np.ndarray, w0: np.ndarray, buf: np.ndarray,
 
 
 def _norms_and_step(p: Params, grads: Iterator[np.ndarray], ref: Params, buf: np.ndarray,
-                    rate: float = 0.0, out: WeightSet | None = None) -> tuple[float, float]:
+                    rate: float, out: WeightSet | None) -> tuple[float, float]:
     """||grad||_F and ||p - ref||_F from the layers ``grads`` yields, top
     layer first, in one pass over each layer as it is yielded (see
     _layer_pass), the squares added in layer order 0..L; with ``out``
@@ -135,12 +130,18 @@ def _norms_and_step(p: Params, grads: Iterator[np.ndarray], ref: Params, buf: np
     return math.sqrt(grad_sq), math.sqrt(dist_sq)
 
 
-def _record(qp: Params, kp: Params, data: Dataset, hp: HyperParams, ref: tuple[Params, Params],
+def gd_step(qp: Params, kp: Params, data: Dataset, hp: HyperParams, ref: tuple[Params, Params],
             rng: RngState | None, t: int, scratch: np.ndarray,
             out: tuple[WeightSet, WeightSet] | None = None) -> StepRecord:
-    """The record of (qp, kp) at step t, its gradients taken through
-    ``scratch`` (see _scratch); with ``out``, the step is taken there (see
-    gd_step).  step_ms runs from the gradient to the end of the record."""
+    """The record of (qp, kp) at step t, with both gradients evaluated at the
+    same (W, theta), taken through ``scratch`` (the pass's block buffer, then
+    one gradient layer).  With ``out`` (one writable, C-ordered set of weight
+    arrays per net, query net first, sharing no memory with ``ref``) the
+    simultaneous update is taken there, each layer as soon as its gradient is
+    yielded, in the same pass as its norms (see _norms_and_step), so ``out``
+    may hold the nets' own weights.  step_ms runs from the gradient to the
+    end of the record.  Overflow and invalid values are left to the record's
+    finiteness check, which raises DivergenceError."""
     started = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         loss, lv, layers = _gradients(qp, kp, data, hp, rng, scratch[BLOCK:])
@@ -168,34 +169,6 @@ def _record(qp: Params, kp: Params, data: Dataset, hp: HyperParams, ref: tuple[P
     return rec
 
 
-def gd_step(
-    qp: Params, kp: Params, data: Dataset, hp: HyperParams,
-    ref: tuple[Params, Params] | None = None,
-    rng: RngState | None = None,
-    t: int = 0,
-    out: tuple[WeightSet, WeightSet] | None = None,
-    scratch: np.ndarray | None = None,
-) -> tuple[Params, Params, StepRecord]:
-    """One simultaneous update: both gradients are evaluated at the same
-    (W, theta) before either parameter moves.
-
-    ``out`` holds one writable, C-ordered set of weight arrays per net, query
-    net first, sharing no memory with ``ref``: each layer's step is taken
-    there as soon as its gradient is yielded, in the same pass as its norms
-    (see _norms_and_step), and the returned nets are views of ``out``.  It
-    may hold the nets' own weights (``qp`` and ``kp`` views of it), which are
-    then stepped in place.  ``scratch`` holds that pass's block buffer and
-    one gradient layer (see _scratch).  Either is allocated when None, so
-    without them the step is taken in fresh arrays and the caller's nets
-    are never written.  Overflow and invalid values are left to the record's
-    finiteness check, which raises DivergenceError."""
-    if out is None:
-        out = tuple(tuple(np.empty(dim) for dim in p.shape.layer_dims()) for p in (qp, kp))
-    rec = _record(qp, kp, data, hp, ref if ref is not None else (qp, kp), rng, t,
-                  _scratch(qp) if scratch is None else scratch, out)
-    return Params(shape=qp.shape, weights=out[0]), Params(shape=kp.shape, weights=out[1]), rec
-
-
 def train(
     qp0: Params, kp0: Params, data: Dataset, hp: HyperParams,
     rng: RngState | None = None,
@@ -203,22 +176,20 @@ def train(
     """Run T simultaneous gradient-descent steps, recording T+1 states.
 
     train owns one weight set per net, a C-ordered copy of the caller's
-    nets, and steps it in place (see gd_step), plus one scratch of the
-    largest layer and a block buffer; no step allocates a weight-sized
-    array.  The caller's nets, copied once here when they are not C-ordered,
-    stay W_0 and are never written; the returned nets view the working set."""
+    nets, and steps it in place (see gd_step), plus one scratch: a block
+    buffer, then room for the largest layer; no step allocates a
+    weight-sized array.  The closing record is gd_step without ``out``.  The
+    caller's nets, copied once here when they are not C-ordered, stay W_0
+    and are never written; the returned nets view the working set."""
     trace = TrainTrace()
     ref = _c_order(qp0), _c_order(kp0)
     work = tuple(tuple(w.copy() for w in p.weights) for p in ref)
     qp, kp = (Params(shape=p.shape, weights=ws) for p, ws in zip(ref, work))
-    scratch = _scratch(qp)
+    scratch = np.empty(BLOCK + max(rows * cols for rows, cols in qp.shape.layer_dims()))
     mc_rng = rng.child("mc") if rng is not None else None
-    for t in range(hp.T):
-        step_rng = mc_rng.child(f"t{t}") if mc_rng is not None else None
-        qp, kp, rec = gd_step(qp, kp, data, hp, ref=ref, rng=step_rng, t=t,
-                              out=work, scratch=scratch)
-        trace.records.append(rec)
-    # closing record: metrics of the final parameters, no update applied
-    final_rng = mc_rng.child("final") if mc_rng is not None else None
-    trace.records.append(_record(qp, kp, data, hp, ref, final_rng, len(trace), scratch))
+    for t in range(hp.T + 1):
+        last = t == hp.T  # the closing record: the final nets, no update applied
+        step_rng = mc_rng.child("final" if last else f"t{t}") if mc_rng is not None else None
+        trace.records.append(gd_step(qp, kp, data, hp, ref, step_rng, t, scratch,
+                                     None if last else work))
     return trace, qp, kp

@@ -390,6 +390,7 @@ _DOCUMENTS = (st.dictionaries(_KEYS, _JSON_VALUES | _PLAUSIBLE, max_size=8)
 @example(doc={**TINY, "gamma": -math.inf})
 @example(doc={**TINY, "epsilon": 10**400})
 @example(doc={**TINY, "out_dir": "out"})
+@example(doc={**TINY, "mode": "monte-carlo", "mc_samples": 10**15})
 @settings(max_examples=200, deadline=None)
 def test_config_document_is_in_range_or_one_error_line(doc):
     # json.dumps writes NaN and Infinity, which json.loads reads back

@@ -4,7 +4,9 @@ uses it as an independent oracle or measurement.  The oracles reach none of
 the production paths they certify.  No module re-opens an array for writing
 once it has been frozen.  In ``encoder`` one layer loop serves every batched
 forward pass.  In ``contrastive`` one cached index enumerates the negative
-subsets and one function adds the anchors' mean losses.  In ``monitors``
+subsets and one function adds the anchors' mean losses.  In ``trainer``
+one step function, ``gd_step``, takes the gradients and the step, and
+``train`` calls it for every record.  In ``monitors``
 only ``_verdict`` fits a line, no probe builds a shifted copy of the
 weights, every solver tolerance is a named constant, and each direction probe
 runs one configuration that no caller can change."""
@@ -95,6 +97,16 @@ def test_one_layer_loop_computes_relu_masks():
                and any(isinstance(op, ast.GtE) for op in cmp.ops)
                and any(isinstance(c, ast.Constant) and c.value == 0.0 for c in cmp.comparators)}
     assert masking == {"_forward", "forward_trace"}, f"ReLU masks computed in {sorted(masking)}"
+
+
+def test_one_step_function_in_the_trainer():
+    # gd_step makes every record and takes every step; train calls it
+    body = {node.name: _used_names(node) for node in _modules()["trainer"].body
+            if isinstance(node, ast.FunctionDef)}
+    for name in ("_gradients", "_norms_and_step"):
+        users = sorted(f for f, used in body.items() if name in used)
+        assert users == ["gd_step"], f"{name} referenced from {users}"
+    assert "gd_step" in body["train"]
 
 
 def test_one_subset_enumeration_and_one_ordered_mean():

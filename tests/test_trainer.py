@@ -12,7 +12,7 @@ from contrast_lab.encoder import Params
 from contrast_lab.rng import RngState
 from contrast_lab import trainer
 from contrast_lab.errors import DivergenceError
-from contrast_lab.trainer import gd_step, theoretical_step_size, train
+from contrast_lab.trainer import theoretical_step_size, train
 
 
 def test_theoretical_hyperparams_formulas():
@@ -65,10 +65,11 @@ def test_trajectory_starts_at_zero_and_grows(short_run):
 
 def test_gd_step_is_simultaneous(short_run):
     # both updates must use gradients taken at the same iterate; an
-    # alternating scheme would evaluate the key update at the moved query net
+    # alternating scheme would evaluate the key update at the moved query net;
+    # train at T=1 takes exactly one step
     trace, qp, kp, _, _, data, hp = short_run
     g0 = grad_params(qp, kp, data, hp)
-    new_q, new_k, _ = gd_step(qp, kp, data, hp)
+    _, new_q, new_k = train(qp, kp, data, dataclasses.replace(hp, T=1))
     manual_q = [w - hp.eta * g for w, g in zip(qp.weights, g0.grad_w.weights)]
     manual_k = [w - hp.gamma * g for w, g in zip(kp.weights, g0.grad_theta.weights)]
     for a, b in zip(new_q.weights, manual_q):
@@ -221,8 +222,8 @@ def test_caller_nets_in_fortran_order_train_to_the_same_bits(small_nets_module):
 
 
 def _step_peaks(monkeypatch, qp, kp, data, hp):
-    """tracemalloc around each gd_step inside train: each step's peak above
-    its starting allocation."""
+    """tracemalloc around each of train's T+1 gd_step calls, the T steps and
+    the closing record: each call's peak above its starting allocation."""
     original, peaks = trainer.gd_step, []
 
     def measured_gd_step(*args, **kwargs):
@@ -249,11 +250,11 @@ def _allocation_nets(seed):
 
 
 def test_a_step_allocates_no_weight_sized_array(monkeypatch):
-    """The step's peak above its starting allocation stays below one m x m
-    layer."""
+    """Each step's peak above its starting allocation, and the closing
+    record's, stays below one m x m layer."""
     qp, kp, data = _allocation_nets(11)
     peaks = _step_peaks(monkeypatch, qp, kp, data, HyperParams(k=2, eta=0.05, gamma=0.05, T=6))
-    assert len(peaks) == 6
+    assert len(peaks) == 7
     assert max(peaks) < qp.shape.m * qp.shape.m * 8, peaks
 
 
@@ -277,11 +278,12 @@ def test_train_holds_one_weight_set_per_net():
 
 def test_fortran_ordered_nets_are_not_copied_every_step(monkeypatch):
     """train copies caller nets that are not C-ordered once, before the first
-    step, so no step copies a layer to walk it in C order."""
+    step, so neither a step nor the closing record copies a layer to walk it
+    in C order."""
     qp, kp, data = _allocation_nets(13)
     peaks = _step_peaks(monkeypatch, _fortran(qp), _fortran(kp), data,
                         HyperParams(k=2, eta=0.05, gamma=0.05, T=3))
-    assert len(peaks) == 3
+    assert len(peaks) == 4
     assert max(peaks) < qp.shape.m * qp.shape.m * 8, peaks
 
 
