@@ -4,13 +4,14 @@ Commands
 --------
 train   : run gradient descent on a fresh initialization, write trace + params
 verify  : run the oracle-equivalence checks at reduced scale
-probe   : run the selected measurement probes, write one JSON report each;
-          --m-grid sets the hidden widths of the gradient-scaling probe
+probe   : run the selected measurement probes, write one JSON report each
 
 The config file is the experiment: it holds every setting.  The command line
 says what to run and where: --out (default ``out``), and for probe --probes
-(default all) and --m-grid.  Every flag and the enumeration cap are checked,
-and --out created, before any net is drawn.
+(default all).  Every probe runs one configuration: the gradient probe fits
+the widths (m/4, m, 4m) of the config's nets.  Every flag, the enumeration
+cap and the memory of the widest net are checked, and --out created, before
+any net is drawn.
 
 Exit codes: 0 every selected check passed; 1 a check failed or an error
 occurred, bad argv included; 3 at least one probe was inconclusive (fewer
@@ -40,8 +41,8 @@ from .contrastive import (HyperParams, check_subsets, encode_batch, grad_params,
 from .data import Dataset, generate_separated
 from .encoder import Params, Shape, init_params
 from .errors import ConfigError, ContrastLabError
-from .monitors import (ce_smoothness_check, gradient_bound_probe, init_probe, perturbation_probe,
-                       smoothness_probe)
+from .monitors import (GRADIENT_WIDTH_RATIO, ce_smoothness_check, gradient_bound_probe, init_probe,
+                       perturbation_probe, smoothness_probe)
 from .oracle import DEFAULT_FD_STEP, fd_gradient, kink_mask
 from .rng import RngState
 from .trainer import StepRecord, TrainTrace, theoretical_step_size, train
@@ -197,12 +198,12 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 KNOWN_PROBES = ("init", "gradient", "smoothness", "perturbation", "ce")
 
 
-def _run_probe(name: str, cfg: ExperimentConfig, m_grid: tuple[int, ...], root: RngState,
-               data: Dataset, qp: Params, kp: Params, hp: HyperParams):
+def _run_probe(name: str, root: RngState, data: Dataset, qp: Params, kp: Params,
+               hp: HyperParams):
     if name == "init":
         return init_probe(qp, kp, data)
     if name == "gradient":
-        return gradient_bound_probe(data, hp, m_grid, cfg.L, cfg.d, root.child("grad-probe"))
+        return gradient_bound_probe(data, hp, qp.shape, root.child("grad-probe"))
     if name == "smoothness":
         return smoothness_probe(qp, kp, data, hp, root.child("smooth-probe"))
     if name == "perturbation":
@@ -212,14 +213,12 @@ def _run_probe(name: str, cfg: ExperimentConfig, m_grid: tuple[int, ...], root: 
     raise ContrastLabError(f"unknown probe {name!r}")
 
 
-def cmd_probe(cfg: ExperimentConfig, out: Path, probes: tuple[str, ...],
-              m_grid: tuple[int, ...] | None) -> int:
-    """Run ``probes``; the gradient probe fits the widths ``m_grid``."""
+def cmd_probe(cfg: ExperimentConfig, out: Path, probes: tuple[str, ...]) -> int:
     root, data, qp, kp, hp = _setup(cfg)
     any_fail = any_inconclusive = False
     rows = []
     for name in probes:
-        report = _run_probe(name, cfg, m_grid, root, data, qp, kp, hp)
+        report = _run_probe(name, root, data, qp, kp, hp)
         _write_json(out / f"probe_{name}.json", {**_stamp(cfg), "report": report.to_jsonable()})
         status = {True: "pass", False: "FAIL", None: "inconclusive"}[report.passed]
         any_fail |= report.passed is False
@@ -241,33 +240,6 @@ def _parse_probes(text: str) -> tuple[str, ...]:
     if len(set(names)) < len(names):
         raise ConfigError(f"--probes names a probe twice: {text!r}")
     return names
-
-
-def _gradient_widths(cfg: ExperimentConfig, probes: tuple[str, ...],
-                     text: str | None) -> tuple[int, ...] | None:
-    """The gradient probe's widths: ``--m-grid``, by default {max(64, m/4), m,
-    2m}, each passing the config's checks; None when the probe is not run."""
-    if "gradient" not in probes:
-        if text is not None:
-            raise ConfigError("--m-grid sets the widths of the gradient probe, "
-                              "which is not among the selected probes")
-        return None
-    if text is None:
-        grid = tuple(sorted({max(64, cfg.m // 4), cfg.m, cfg.m * 2}))
-    else:
-        try:
-            grid = tuple(int(x) for x in text.split(","))
-        except ValueError:
-            raise ConfigError(f"--m-grid must be comma-separated integers, got {text!r}") from None
-        if min(grid) < 1 or len(grid) < 2 or len(set(grid)) < len(grid):
-            raise ConfigError(f"--m-grid needs two or more distinct positive widths, "
-                              f"each given once, got {text!r}")
-    for m in grid:
-        try:
-            dataclasses.replace(cfg, m=m).validate()
-        except ConfigError as err:
-            raise ConfigError(f"gradient probe width {m}: {err}") from None
-    return grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -293,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "probe":
             p.add_argument("--probes", default=",".join(KNOWN_PROBES),
                            help="comma-separated probe names (default: all, %(default)s)")
-            p.add_argument("--m-grid", default=None,
-                           help="comma-separated hidden widths of the gradient probe "
-                                "(default: max(64, m/4), m, 2m)")
     return parser
 
 
@@ -307,7 +276,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--out contains a NUL byte: {args.out!r}")
         if args.command == "probe":
             probes = _parse_probes(args.probes)
-            m_grid = _gradient_widths(cfg, probes, args.m_grid)
+            if "gradient" in probes:  # the memory of its widest nets, as the config's m
+                widest = GRADIENT_WIDTH_RATIO * cfg.m
+                try:
+                    dataclasses.replace(cfg, m=widest).validate()
+                except ConfigError as err:
+                    raise ConfigError(f"gradient probe width {widest}: {err}") from None
         # the commands that enumerate the exact loss, verify at its reduced scale
         if args.command == "verify":
             small = _verify_scale(cfg)
@@ -321,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(cfg, out)
         if args.command == "verify":
             return cmd_verify(cfg, out)
-        return cmd_probe(cfg, out, probes, m_grid)
+        return cmd_probe(cfg, out, probes)
     except (ContrastLabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAIL

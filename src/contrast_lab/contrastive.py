@@ -94,18 +94,19 @@ class HyperParams:
 
 
 def _draw_subsets(gen: np.random.Generator, samples: int, n: int, k: int) -> np.ndarray:
-    """(samples, n, k) uniform k-subsets of the n-1 others of each anchor, as
-    indices relative to [n] minus the anchor, by Floyd's algorithm (Bentley &
-    Floyd, CACM 30(9), 1987) for every (sample, anchor) at once: for j = n-1-k,
-    ..., n-2 draw t uniform in [0, j], and take j instead if t is a member.
-    Beside the index array it holds one int64 and one bool (samples, n) array."""
-    out = np.empty((samples, n, k), dtype=np.intp)
+    """(n, samples, k) uniform k-subsets of the n-1 others of each anchor,
+    anchor-major and C-ordered, as indices relative to [n] minus the anchor,
+    by Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987) for every
+    (sample, anchor) at once: for j = n-1-k, ..., n-2 draw t uniform in
+    [0, j], and take j instead if t is a member.  Each column of t is drawn
+    (samples, n), copied into the index array transposed and corrected there.
+    Beside the index array it holds one int64 or one bool (samples, n) array."""
+    out = np.empty((n, samples, k), dtype=np.intp)
     for col, j in enumerate(range(n - 1 - k, n - 1)):
-        t = gen.integers(0, j + 1, (samples, n))
+        t = out[:, :, col]
+        t[...] = gen.integers(0, j + 1, (samples, n)).T
         for prev in range(col):  # a t set to j matches no later member: all are < j
-            np.putmask(t, out[:, :, prev] == t, j)
-        out[:, :, col] = t
-        del t  # before the next column's draw
+            np.copyto(t, j, where=out[:, :, prev] == t)
     return out
 
 
@@ -183,15 +184,15 @@ def _mc_index(rng: RngState, samples: int, n: int, k: int) -> tuple[np.ndarray, 
     samples, table is _subset_index(n, k, n), as the exact loss gathers one
     group of every anchor, and rows (samples, n) picks each draw's subset;
     the table of every anchor's subset losses holds no more logits than the
-    draw.  Above it table (n, samples, k) is the Floyd draw, anchor-major,
-    and rows[s, i] = s."""
+    draw.  Above it table (n, samples, k) is the Floyd draw and
+    rows[s, i] = s."""
     check_subsets(n, k)
     subsets = math.comb(n - 1, k)
     if subsets <= samples:
         return _draw_rows(rng.generator(), samples, n, subsets), _subset_index(n, k, n)
     flat = _draw_subsets(rng.generator(), samples, n, k)
-    flat += (np.arange(n) * (n - 1))[:, None]
-    return np.broadcast_to(np.arange(samples)[:, None], (samples, n)), flat.transpose(1, 0, 2)
+    flat += (np.arange(n) * (n - 1))[:, None, None]
+    return np.broadcast_to(np.arange(samples)[:, None], (samples, n)), flat
 
 
 def _anchor_mean(means: list[np.ndarray], n: int) -> float:

@@ -8,16 +8,17 @@ the sweep when it has two or more distinct points and the series is positive
 at each, and else skips it with a note.  A pass or fail needs three distinct
 points (a line fits two exactly) and fits that clear their R^2 gate
 (``GRADIENT_R2_GATE`` for gradient scaling, else ``R2_GATE``); otherwise the
-probe reports "inconclusive".  The two direction probes each run one
-configuration, their calibrated sweep over a fixed number of directions, so
-only the gradient probe's widths can make a sweep too short.
+probe reports "inconclusive".  Each fitted probe runs one configuration
+that no caller sets: the direction probes their calibrated sweeps over a
+fixed number of directions, the gradient probe the widths (m/4, m, 4m) of
+the shape it is given, whose three points are distinct at every m but 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -32,13 +33,15 @@ from .linalg import SpectralSolve, spectral_norm, top_singular_values
 from .rng import RngState
 from .trainer import TrainTrace
 
-# R^2 gates and [lo, hi] slope bands of the fitted probes, the sweeps and
+# R^2 gates and [lo, hi] slope bands of the fitted probes, the width ratio
+# of the gradient probe's sweep (m / ratio, m, m * ratio), the sweeps and
 # direction counts the smoothness and perturbation bands were calibrated on,
 # and the draws of ``ce_smoothness_check``: CE_TRIALS random pairs, k in
 # [1, CE_MAX_K], coordinates in [-CE_SCALE, CE_SCALE].
 R2_GATE = 0.9
 GRADIENT_R2_GATE = 0.95
 GRADIENT_SLOPE_BAND = (0.85, 1.15)
+GRADIENT_WIDTH_RATIO = 4
 SMOOTHNESS_EXPONENT_BAND = (1.25, math.inf)
 SMOOTHNESS_RHOS = tuple(float(x) for x in np.geomspace(1e-4, 1e-2, 7))
 SMOOTHNESS_DIRECTIONS = 8
@@ -304,25 +307,27 @@ def init_probe(qp: Params, kp: Params, data: Dataset) -> ProbeReport:
 # gradient norm scaling
 
 
-def gradient_bound_probe(
-    data: Dataset, hp: HyperParams, ms: tuple[int, ...],
-    L: int, d: int, rng: RngState,
-) -> ProbeReport:
+def gradient_bound_probe(data: Dataset, hp: HyperParams, shape: Shape,
+                         rng: RngState) -> ProbeReport:
     """Squared gradient Frobenius norms against hidden width m, for both
     encoders, on one fixed dataset.  The closed-form gradients predict
     ||grad||_F^2 = Theta(m / d) * (per-sample loss-vector energy), so the
     log-log slope in m should be 1; the normalized ratio
     r = ||grad||^2 n d / (m * sum ||loss vec||^2) should sit in a stable band.
+    It runs one sweep at ``shape``'s other dimensions, the widths m // 4 (at
+    least 1), m and 4m of its m, with 4 = ``GRADIENT_WIDTH_RATIO``; at
+    m = 1024 that is (256, 1024, 4096), acceptance criterion 6's sweep.
     Each width gets a fresh pair of nets from ``rng``'s ``w-{m}`` and
     ``theta-{m}`` streams; the scalars also list each width's loss and
     loss-vector norms.
     """
-    n = data.n
+    n, L, d = data.n, shape.L, shape.d
+    ms = (max(1, shape.m // GRADIENT_WIDTH_RATIO), shape.m, GRADIENT_WIDTH_RATIO * shape.m)
     rows = []
     for m in ms:
-        shape = Shape(L=L, m=m, d=d, b=data.b)
-        g = grad_params(init_params(rng.child(f"w-{m}"), shape),
-                        init_params(rng.child(f"theta-{m}"), shape), data, hp)
+        sized = replace(shape, m=m)
+        g = grad_params(init_params(rng.child(f"w-{m}"), sized),
+                        init_params(rng.child(f"theta-{m}"), sized), data, hp)
         rows.append((g.loss, sum_of_squares(g.grad_w.weights), sum_of_squares(g.grad_theta.weights),
                      g.loss_vectors.tilde_norm, g.loss_vectors.hat_norm))
         del g  # width m's gradients go before the next width's nets are drawn
@@ -332,10 +337,11 @@ def gradient_bound_probe(
     series = {"grad_w_sq_vs_m": gw2, "grad_theta_sq_vs_m": gt2}
     fits, passed, notes = _verdict(ms, series, dict.fromkeys(series, GRADIENT_SLOPE_BAND),
                                    GRADIENT_R2_GATE, "widths")
-    rw_arr, rt_arr = np.asarray(rw), np.asarray(rt)
+    # fmin and fmax skip NaN as nanmin does, but give NaN without a warning when
+    # every width's ratio is undefined (a dead net's loss vectors are 0)
     scalars = {
-        "r_w_min": float(np.nanmin(rw_arr)), "r_w_max": float(np.nanmax(rw_arr)),
-        "r_theta_min": float(np.nanmin(rt_arr)), "r_theta_max": float(np.nanmax(rt_arr)),
+        "r_w_min": float(np.fmin.reduce(rw)), "r_w_max": float(np.fmax.reduce(rw)),
+        "r_theta_min": float(np.fmin.reduce(rt)), "r_theta_max": float(np.fmax.reduce(rt)),
         "grad_w_sq": gw2, "grad_theta_sq": gt2,
         "loss": loss, "losstilde_norm": tilde, "losshat_norm": hat,
     }

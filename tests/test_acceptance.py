@@ -226,8 +226,8 @@ def test_criterion_06_gradient_norm_scaling():
     root = RngState(seed=1)
     data = generate_separated(root.child("data"), 8, 16, 0.5)
     hp = HyperParams(k=2, eta=0.0625, gamma=0.0625, T=1)
-    rep = gradient_bound_probe(data, hp, (256, 1024, 4096), L=3, d=32,
-                               rng=root.child("gp"))
+    rep = gradient_bound_probe(data, hp, Shape(L=3, m=1024, d=32, b=16), rng=root.child("gp"))
+    assert rep.config["ms"] == [256, 1024, 4096]
     fw = rep.fits["grad_w_sq_vs_m"]
     ft = rep.fits["grad_theta_sq_vs_m"]
     ok = (0.85 <= fw.slope <= 1.15 and 0.85 <= ft.slope <= 1.15
@@ -317,14 +317,15 @@ def test_criterion_11_artifact_determinism(tmp_path):
         "seed": 1, "T": 20, "eta": 0.0625, "gamma": 0.0625,
     }))
     pairs = []
-    # two widths give no gradient verdict, and at m=64 the smallest omegas flip
-    # no mask, so the perturbation probe fits no flip law: both runs exit inconclusive
+    # at m=64 the gradient fits over the widths (16, 64, 256) fall below their
+    # R^2 gate, and the smallest omegas flip no mask, so the perturbation probe
+    # fits no flip law: both runs exit inconclusive
     for label, argv, expected, files in (
         ("train", ["train"], EXIT_PASS, ["trace.csv", "plot_data.csv", "summary.json",
                                          "params_query.bin", "params_key.bin"]),
         ("verify", ["verify"], EXIT_PASS, ["verify.json"]),
-        ("gradient", ["probe", "--probes", "gradient", "--m-grid", "32,64"],
-         EXIT_INCONCLUSIVE, ["probe_gradient.json"]),
+        ("gradient", ["probe", "--probes", "gradient"], EXIT_INCONCLUSIVE,
+         ["probe_gradient.json"]),
         ("probes", ["probe", "--probes", "init,smoothness,perturbation"], EXIT_INCONCLUSIVE,
          ["probe_init.json", "probe_smoothness.json", "probe_perturbation.json"]),
         ("ce", ["probe", "--probes", "ce"], EXIT_PASS, ["probe_ce.json"]),

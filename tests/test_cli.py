@@ -154,24 +154,22 @@ class TestCommands:
         report = json.loads((out / "probe_ce.json").read_text())["report"]
         assert report["passed"] is True
 
-    def test_probe_m_grid_sets_the_gradient_widths(self, tmp_path):
+    def test_probe_derives_the_gradient_widths_from_m(self, tmp_path):
         cfg = _write_config(tmp_path)
         out = tmp_path / "p"
-        code = main(["probe", "--config", cfg, "--out", str(out), "--probes", "gradient",
-                     "--m-grid", "16,32,64"])
+        code = main(["probe", "--config", cfg, "--out", str(out), "--probes", "gradient"])
         report = json.loads((out / "probe_gradient.json").read_text())["report"]
         assert code == {True: EXIT_PASS, False: EXIT_FAIL, None: EXIT_INCONCLUSIVE}[report["passed"]]
-        assert report["config"]["ms"] == [16, 32, 64]
+        assert report["config"]["ms"] == [6, 24, 96]
         s = report["scalars"]
         for name in ("loss", "losstilde_norm", "losshat_norm"):
             assert len(s[name]) == 3 and all(math.isfinite(x) for x in s[name])
         root = RngState(seed=TINY["seed"])
         data = generate_separated(root.child("data"), TINY["n"], TINY["b"], 0.5)
         hp = HyperParams(k=TINY["k"], eta=TINY["eta"], gamma=TINY["gamma"], T=TINY["T"])
-        direct = gradient_bound_probe(data, hp, (16, 32, 64), TINY["L"], TINY["d"],
-                                      root.child("grad-probe"))
-        for name in ("grad_w_sq", "grad_theta_sq", "loss", "losstilde_norm", "losshat_norm"):
-            assert s[name] == direct.scalars[name]
+        shape = Shape(L=TINY["L"], m=TINY["m"], d=TINY["d"], b=TINY["b"])
+        direct = gradient_bound_probe(data, hp, shape, root.child("grad-probe"))
+        assert report == direct.to_jsonable()
 
     def test_bad_config_exits_with_failure(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -184,25 +182,25 @@ class TestCommands:
         ({"T": True}, ["train"]),
         ({"eta": "0.1"}, ["train"]),
         ({"probes": ["ce"]}, ["probe"]),
-        ({}, ["probe", "--probes", "gradient", "--m-grid", "32,x"]),
-        ({}, ["probe", "--probes", "gradient", "--m-grid", "32"]),
-        ({}, ["probe", "--probes", "gradient", "--m-grid", "32,32,64"]),
+        ({}, ["probe", "--probes", "gradient", "--m-grid", "16,32"]),  # no such flag
+        ({}, ["probe", "--out", "{tmp}/config.json"]),
+        (ABOVE_CAP, ["probe", "--probes", "gradient"]),
         ({}, ["train", "--config", "{tmp}/missing.json"]),
         ({}, ["train", "--out", "{tmp}/config.json"]),
         ({}, ["verify", "--out", "{tmp}/config.json"]),
         ({}, ["train", "--out", "a\0b"]),
         ({"eta": math.nan}, ["train"]),
-        ({"eta": math.nan}, ["probe", "--probes", "gradient", "--m-grid", "16,32"]),
+        ({"eta": math.nan}, ["probe", "--probes", "gradient"]),
         ({"gamma": math.inf}, ["probe", "--probes", "ce"]),
         ({"gamma": 10**400}, ["train"]),
         ({"m": 10**12}, ["train"]),
         ({"m": 10**19}, ["train"]),
-        ({}, ["probe", "--probes", "gradient", "--m-grid", "16,1000000000000"]),
-        ({}, ["probe", "--probes", "gradient", "--m-grid", ""]),
-        ({}, ["probe", "--probes", "ce", "--m-grid", "16,32"]),
+        ({}, ["verify", "--probes", "ce"]),
+        ({}, ["probe", "--probes", "gradient", "init"]),
+        ({}, ["probe", "--probes"]),
         ({}, ["probe", "--probes", ""]),
         ({}, ["probe", "--probes", "ce,ce"]),
-        ({}, ["probe", "--probes", "gradient", "--m-grid", "-3,5"]),
+        ({}, ["probe", "--probes", "-3,5"]),
         (ABOVE_CAP, ["train"]),
         (ABOVE_CAP, ["probe", "--probes", "smoothness"]),
         (ABOVE_CAP, ["probe", "--probes", "ce,gradient"]),
@@ -228,19 +226,21 @@ class TestCommands:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["probe", "--help"])
-        assert exit_.value.code == 0 and "--m-grid" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert exit_.value.code == 0 and "--probes" in text and "--m-grid" not in text
 
     def test_default_gradient_widths_pass_the_memory_guard(self, tmp_path, capsys, monkeypatch):
         # memory that holds the weight stacks at the config's m=24 (13,824 bytes)
-        # but not at the default grid's 2m=48 (46,080 bytes)
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 20_000}
+        # and at 2m=48 (46,080 bytes), but not at the probe's widest 4m=96
+        # (165,888 bytes)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 100_000}
         monkeypatch.setattr(config.os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(cli, "init_params", _no_net)
         out = tmp_path / "p"
         assert main(["probe", "--config", _write_config(tmp_path), "--out", str(out),
                      "--probes", "gradient"]) == EXIT_FAIL
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: gradient probe width 48: ")
+        assert len(err) == 1 and err[0].startswith("error: gradient probe width 96: ")
         assert not out.exists()
 
     def test_config_not_utf8_is_one_error_line(self, tmp_path, capsys):
@@ -317,14 +317,15 @@ class TestCommands:
             assert stamp == parse_config(text).to_dict(), argv
 
     def test_gradient_probe_needs_three_widths(self, tmp_path):
-        # m=64 gives the widths {64, 128}, and a line through two points has R^2 = 1
-        cfg = _write_config(tmp_path, n=6, k=2, L=3, m=64, d=8, b=8, seed=1, T=20,
+        # m=1 gives the widths (1, 1, 4), two distinct points, and a line
+        # through two points has R^2 = 1
+        cfg = _write_config(tmp_path, n=6, k=2, L=3, m=1, d=8, b=8, seed=1, T=20,
                             eta=0.0625, gamma=0.0625)
         out = tmp_path / "p"
         assert main(["probe", "--config", cfg, "--out", str(out),
                      "--probes", "gradient"]) == EXIT_INCONCLUSIVE
         report = json.loads((out / "probe_gradient.json").read_text())["report"]
-        assert report["config"]["ms"] == [64, 128] and report["passed"] is None
+        assert report["config"]["ms"] == [1, 1, 4] and report["passed"] is None
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_probe_artifacts_are_strict_json(self, tmp_path, capsys, seed):
@@ -336,7 +337,7 @@ class TestCommands:
         out = tmp_path / "p"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["probe", "--config", str(path), "--out", str(out), "--m-grid", "1,2,3"])
+            code = main(["probe", "--config", str(path), "--out", str(out)])
         assert code == EXIT_FAIL  # the init probe's verdict
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err
@@ -420,24 +421,20 @@ def test_config_document_is_in_range_or_one_error_line(doc):
     assert cfg.b >= 2 and 1 <= cfg.k <= cfg.n - 1
 
 
-# valid lists (known names, or widths, each once), near misses, and noise
+# valid lists (known names, each once), near misses, and noise
 _PROBE_TEXT = (st.lists(st.sampled_from(cli.KNOWN_PROBES), min_size=1, unique=True)
                | st.lists(st.sampled_from(cli.KNOWN_PROBES + ("", "sweep", "Init")),
                           max_size=6)).map(",".join)
-_WIDTH_TEXT = (st.lists(st.integers(1, 80), min_size=2, max_size=4, unique=True)
-               | st.lists(st.integers(-2, 80) | st.sampled_from([10**12, 10**19]),
-                          max_size=5)).map(lambda ws: ",".join(map(str, ws)))
 _ARG_TEXT = st.text(alphabet="0123456789,+-_ ex", max_size=8)
 
 
-@given(probes=st.none() | _PROBE_TEXT | _ARG_TEXT, m_grid=st.none() | _WIDTH_TEXT | _ARG_TEXT)
-@example(probes="gradient", m_grid="32,32,64")
-@example(probes="ce,ce", m_grid=None)
+@given(probes=st.none() | _PROBE_TEXT | _ARG_TEXT)
+@example(probes="gradient")
+@example(probes="ce,ce")
 @settings(max_examples=200, deadline=None)
-def test_probe_argv_reaches_the_run_checked_or_is_one_error_line(probes, m_grid):
+def test_probe_argv_reaches_the_run_checked_or_is_one_error_line(probes):
     # the --flag=value form, since argparse reads a separate "-3,5" as a flag
     flags = [] if probes is None else [f"--probes={probes}"]
-    flags += [] if m_grid is None else [f"--m-grid={m_grid}"]
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "cmd_probe", return_value=EXIT_PASS) as run, \
             mock.patch.object(cli, "init_params", _no_net):
@@ -452,10 +449,6 @@ def test_probe_argv_reaches_the_run_checked_or_is_one_error_line(probes, m_grid)
         assert code == EXIT_FAIL and not created
         assert len(lines) == 1 and lines[0].startswith("error: ")
         return
-    _, _, names, widths = run.call_args.args
+    _, _, names = run.call_args.args
     assert code == EXIT_PASS and created and not lines
     assert names and set(names) <= set(cli.KNOWN_PROBES) and len(set(names)) == len(names)
-    if "gradient" in names:
-        assert len(widths) >= 2 and min(widths) >= 1 and len(set(widths)) == len(widths)
-    else:
-        assert widths is None

@@ -176,7 +176,7 @@ def test_draw_is_uniform_over_the_subsets(seed, n, k):
     fails it."""
     samples = 40_000
     drawn = contrastive._draw_subsets(np.random.default_rng(seed), samples, n, k)
-    assert drawn.shape == (samples, n, k)
+    assert drawn.shape == (n, samples, k) and drawn.flags.c_contiguous
     assert drawn.min() >= 0 and drawn.max() <= n - 2
     ordered = np.sort(drawn, axis=2)
     assert np.all(ordered[..., 1:] > ordered[..., :-1])
@@ -187,7 +187,7 @@ def test_draw_is_uniform_over_the_subsets(seed, n, k):
     threshold = scipy.stats.chi2.isf(UNIFORMITY_FALSE_FAILURE_P, dof) if dof else 0.0
     expected = samples / len(cells)
     for anchor in range(n):
-        counts = np.bincount(codes[:, anchor], minlength=1 << (n - 1))[cells]
+        counts = np.bincount(codes[anchor], minlength=1 << (n - 1))[cells]
         assert counts.sum() == samples
         assert np.sum((counts - expected) ** 2) / expected <= threshold, anchor
 
@@ -209,9 +209,10 @@ def test_row_draw_is_uniform_over_the_rows(seed, n, k):
 
 def test_draw_keeps_only_the_index_array():
     """At n=20, k=3 and 20,000 samples the draw retains its 9.6 MB index array
-    alone and peaks 13.2 MB, one int64 and one bool (samples, n) array above
-    it.  The bound allows a second bool, 13.6 MB; two int64 arrays alive at
-    once would reach 16.0 MB."""
+    alone and peaks 12.8 MB, one int64 (samples, n) array above it: a column's
+    fresh draw, freed before the bool of its correction.  The bound allows an
+    int64 and two bools, 13.6 MB; two int64 arrays alive at once would reach
+    16.0 MB."""
     n, k, samples = 20, 3, 20_000
     tracemalloc.start()
     try:
@@ -244,7 +245,7 @@ def test_floyd_path_fails_a_biased_draw(gen, monkeypatch):
     monkeypatch.setattr(contrastive, "_draw_rows", no_rows)
     assert stderrs_off() <= z
     monkeypatch.setattr(contrastive, "_draw_subsets",
-                        lambda gen, samples, n, k: np.tile(np.arange(k), (samples, n, 1)))
+                        lambda gen, samples, n, k: np.tile(np.arange(k), (n, samples, 1)))
     assert stderrs_off() > z
 
 
@@ -374,10 +375,10 @@ def test_kernel_is_bit_identical_to_the_per_anchor_loop(seed, n, k, d, cap):
     for samples in (2, 1536):
         rng = RngState(seed=seed)
         if len(rel) <= samples:
-            drawn = rel[contrastive._draw_rows(rng.generator(), samples, n, len(rel))]
+            drawn = rel[contrastive._draw_rows(rng.generator(), samples, n, len(rel)).T]
         else:
             drawn = contrastive._draw_subsets(rng.generator(), samples, n, k)
-        loss, tilde, hat, _, losses = _per_anchor_reference(batch, lambda i: drawn[:, i])
+        loss, tilde, hat, _, losses = _per_anchor_reference(batch, lambda i: drawn[i])
         got_loss, lv = loss_and_vectors(batch, k, mode="monte-carlo", mc_samples=samples, rng=rng)
         assert got_loss == loss
         assert np.array_equal(lv.losstilde, tilde) and np.array_equal(lv.losshat, hat)

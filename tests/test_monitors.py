@@ -291,8 +291,8 @@ def test_init_probe_band_is_symmetric_in_log_norm():
 
 def test_gradient_bound_probe_reports_both_encoders(setup):
     root, data, _, _, hp = setup
-    report = gradient_bound_probe(data, hp, (32, 64, 128), L=2, d=8,
-                                  rng=root.child("gbp"))
+    report = gradient_bound_probe(data, hp, Shape(L=2, m=32, d=8, b=8), rng=root.child("gbp"))
+    assert report.config["ms"] == [8, 32, 128]
     assert set(report.fits) == {"grad_w_sq_vs_m", "grad_theta_sq_vs_m"}
     assert report.scalars["r_w_max"] >= report.scalars["r_w_min"] > 0
 
@@ -469,25 +469,29 @@ def test_perturbation_probe_matches_drawing_each_direction_set_first(setup):
 
 
 def test_two_width_sweep_gives_no_verdict(setup):
-    # a line through two points has R^2 = 1, so its slope alone decides nothing
+    # at m = 1 the widths (1, 1, 4) are two distinct points, and a line through
+    # two points has R^2 = 1, so its slope alone decides nothing
     root, data, _, _, hp = setup
-    report = gradient_bound_probe(data, hp, (32, 64), L=2, d=8, rng=root.child("two"))
+    report = gradient_bound_probe(data, hp, Shape(L=2, m=1, d=8, b=8), rng=root.child("two"))
+    assert report.config["ms"] == [1, 1, 4]
     assert all(f.r2 == pytest.approx(1.0) for f in report.fits.values())
     assert report.passed is None
     assert "fewer than three distinct widths: no verdict" in report.notes
 
 
-@pytest.mark.parametrize("probe", ["gradient"])  # the only probe that takes a sweep
+@pytest.mark.parametrize("probe", ["gradient"])  # whose series, band and gate the rule gets
 @pytest.mark.parametrize("sweep", ["one point", "zero and one point"])
-def test_degenerate_sweep_is_inconclusive(setup, probe, sweep):
+def test_degenerate_sweep_is_inconclusive(probe, sweep):
     # one distinct width fits no line; a width of 0 is no net, so the second
-    # sweep repeats its one width instead.  The direction probes run their
-    # constant seven-point sweeps, so only the gradient probe's can be short.
-    root, data, _, _, hp = setup
+    # sweep repeats its one width instead.  Every probe runs a sweep of at
+    # least two distinct points, so only the verdict rule itself sees these.
     ms = (32,) if sweep == "one point" else (32, 32)
-    report = gradient_bound_probe(data, hp, ms, L=2, d=8, rng=root.child("deg"))
-    assert report.passed is None and report.fits == {}
-    assert "fewer than three distinct widths: no verdict" in report.notes
+    series = {"grad_w_sq_vs_m": [2.0] * len(ms), "grad_theta_sq_vs_m": [3.0] * len(ms)}
+    fits, passed, notes = monitors._verdict(
+        ms, series, dict.fromkeys(series, monitors.GRADIENT_SLOPE_BAND),
+        monitors.GRADIENT_R2_GATE, "widths")
+    assert passed is None and fits == {}
+    assert "fewer than three distinct widths: no verdict" in notes
 
 
 def test_descent_check_on_converging_run(setup):

@@ -8,8 +8,9 @@ subsets and one function adds the anchors' mean losses.  In ``trainer``
 one step function, ``gd_step``, takes the gradients and the step, and
 ``train`` calls it for every record.  In ``monitors``
 only ``_verdict`` fits a line, no probe builds a shifted copy of the
-weights, every solver tolerance is a named constant, and each direction probe
-runs one configuration that no caller can change."""
+weights, every solver tolerance is a named constant, and each fitted probe
+runs one configuration that no caller can change: no public function takes a
+sweep, a direction count or a list of widths."""
 
 import ast
 import functools
@@ -144,11 +145,12 @@ def test_monitors_name_every_solver_tolerance():
     assert not literal, f"literal tol at monitors.py lines {literal}"
 
 
-def test_direction_probes_take_no_sweep():
+def test_probes_take_no_sweep():
     # SMOOTHNESS_RHOS, PERTURBATION_OMEGAS and their direction counts are the
-    # calibrated configurations; probe and the acceptance criteria run the same
+    # calibrated configurations, and the gradient probe's widths follow from the
+    # shape by GRADIENT_WIDTH_RATIO; probe and the acceptance criteria run the same
     swept = [f"{node.name}({arg.arg})" for node in _modules()["monitors"].body
              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
              for arg in node.args.args + node.args.kwonlyargs
-             if arg.arg in ("rhos", "omegas", "n_directions")]
+             if arg.arg in ("rhos", "omegas", "n_directions", "ms")]
     assert not swept, f"public monitors functions take {swept}"
