@@ -14,7 +14,6 @@ from .contrastive import (
     encode_batch,
     grad_params,
     loss_and_vectors,
-    losshat_pair,
     total_loss_exact,
     total_loss_mc,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "ExperimentConfig", "parse_config",
     "EncodedBatch", "GradResult", "HyperParams", "LossVectors",
     "encode_batch", "grad_params", "loss_and_vectors",
-    "losshat_pair",
     "total_loss_exact", "total_loss_mc",
     "Dataset", "generate_separated",
     "Params", "Shape", "backprop_matrix", "forward_batch", "forward_trace",

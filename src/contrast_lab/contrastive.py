@@ -280,15 +280,6 @@ def loss_and_vectors(
     return total, LossVectors(losstilde=losstilde, losshat=losshat)
 
 
-def losshat_pair(
-    batch: EncodedBatch, i: int, j: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
-    """Averaged softmax weight of key j as a negative for query i, times q_i."""
-    if i == j:
-        raise IndexError("losshat_pair needs i != j")
-    return _coefficient_table(batch, _exact_groups(batch.n, k, cap))[1][i, j] * batch.queries[i]
-
-
 @dataclass(frozen=True)
 class GradResult:
     grad_w: Params

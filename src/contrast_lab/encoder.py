@@ -73,10 +73,17 @@ class Params:
 
     @staticmethod
     def from_bytes(blob: bytes) -> "Params":
+        """The net of a ``write`` container; ShapeError unless the header line
+        is a JSON object and exactly its layers' float64 bytes follow."""
         newline = blob.index(b"\n")
         meta = json.loads(blob[:newline])
+        if not isinstance(meta, dict):
+            raise ShapeError(f"params header must be a JSON object, got {meta!r}")
         shape = Shape(L=meta["L"], m=meta["m"], d=meta["d"], b=meta["b"])
         offset = newline + 1
+        entries = sum(rows * cols for rows, cols in shape.layer_dims())
+        if len(blob) - offset != 8 * entries:
+            raise ShapeError(f"{shape} needs {8 * entries} payload bytes, got {len(blob) - offset}")
         weights = []
         for rows, cols in shape.layer_dims():
             count = rows * cols

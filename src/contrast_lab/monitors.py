@@ -31,7 +31,7 @@ from .encoder import (BatchTrace, Params, Shape, backward_batch, forward_batch, 
 from .errors import EvaluationError
 from .linalg import SpectralSolve, spectral_norm, top_singular_values
 from .rng import RngState
-from .trainer import TrainTrace
+from .trainer import BLOCK, StepRecord, TrainTrace, gd_step
 
 # R^2 gates and [lo, hi] slope bands of the fitted probes, the width ratio
 # of the gradient probe's sweep (m / ratio, m, m * ratio), the sweeps and
@@ -317,20 +317,23 @@ def gradient_bound_probe(data: Dataset, hp: HyperParams, shape: Shape,
     It runs one sweep at ``shape``'s other dimensions, the widths m // 4 (at
     least 1), m and 4m of its m, with 4 = ``GRADIENT_WIDTH_RATIO``; at
     m = 1024 that is (256, 1024, 4096), acceptance criterion 6's sweep.
-    Each width gets a fresh pair of nets from ``rng``'s ``w-{m}`` and
-    ``theta-{m}`` streams; the scalars also list each width's loss and
-    loss-vector norms.
+    Each width's nets come fresh from ``rng``'s ``w-{m}`` and ``theta-{m}``
+    streams, and its numbers from the record ``train`` writes at t = 0
+    (``gd_step`` without ``out``), through one scratch sized for the widest
+    width: the probe holds one width's nets and one gradient layer.  A
+    non-finite record raises DivergenceError.
     """
     n, L, d = data.n, shape.L, shape.d
     ms = (max(1, shape.m // GRADIENT_WIDTH_RATIO), shape.m, GRADIENT_WIDTH_RATIO * shape.m)
-    rows = []
-    for m in ms:
+    scratch = np.empty(BLOCK + max(r * c for r, c in replace(shape, m=ms[-1]).layer_dims()))
+
+    def record(m: int) -> StepRecord:  # width m's nets are freed when it returns
         sized = replace(shape, m=m)
-        g = grad_params(init_params(rng.child(f"w-{m}"), sized),
-                        init_params(rng.child(f"theta-{m}"), sized), data, hp)
-        rows.append((g.loss, sum_of_squares(g.grad_w.weights), sum_of_squares(g.grad_theta.weights),
-                     g.loss_vectors.tilde_norm, g.loss_vectors.hat_norm))
-        del g  # width m's gradients go before the next width's nets are drawn
+        nets = init_params(rng.child(f"w-{m}"), sized), init_params(rng.child(f"theta-{m}"), sized)
+        return gd_step(*nets, data, hp, nets, None, 0, scratch)
+
+    rows = [(r.loss, r.grad_w_fro ** 2, r.grad_theta_fro ** 2, r.losstilde_norm, r.losshat_norm)
+            for r in map(record, ms)]
     loss, gw2, gt2, tilde, hat = (list(col) for col in zip(*rows))
     rw = [w2 * n * d / (m * t**2) if t**2 > 0 else math.nan for m, w2, t in zip(ms, gw2, tilde)]
     rt = [t2 * n * d / (m * h**2) if h**2 > 0 else math.nan for m, t2, h in zip(ms, gt2, hat)]

@@ -21,14 +21,16 @@ import pytest
 from contrast_lab import Shape, generate_separated, init_params
 from contrast_lab.cli import EXIT_INCONCLUSIVE, EXIT_PASS, main
 from contrast_lab.contrastive import (
+    DEFAULT_ENUMERATION_CAP,
     EncodedBatch,
     HyperParams,
     encode_batch,
     grad_params,
     loss_and_vectors,
-    losshat_pair,
     total_loss_exact,
     total_loss_mc,
+    _coefficient_table,
+    _exact_groups,
 )
 from contrast_lab.monitors import (
     ce_smoothness_check,
@@ -140,6 +142,7 @@ def test_criterion_03_enumeration_consistency():
                 total += acc / math.comb(n - 1, k)
             want = total / n
             got = total_loss_exact(batch, k)
+            coeff = _coefficient_table(batch, _exact_groups(n, k, DEFAULT_ENUMERATION_CAP))[1]
             worst_loss = max(worst_loss, abs(got - want) / abs(want))
             # pairwise vectors against containment-filtered enumeration
             for i in range(n):
@@ -155,7 +158,7 @@ def test_criterion_03_enumeration_consistency():
                         p_j = math.exp(float(q[i] @ (keys[j] - keys[i]))) / denom
                         acc_vec += p_j * q[i]
                     acc_vec /= math.comb(n - 1, k)
-                    diff = np.max(np.abs(losshat_pair(batch, i, j, k) - acc_vec))
+                    diff = np.max(np.abs(coeff[i, j] * q[i] - acc_vec))
                     scale = max(np.max(np.abs(acc_vec)), 1e-300)
                     worst_pair = max(worst_pair, diff / scale)
     ok = worst_loss <= 1e-14 and worst_pair <= 1e-13

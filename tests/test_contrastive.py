@@ -14,7 +14,6 @@ from contrast_lab.contrastive import (
     encode_batch,
     grad_params,
     loss_and_vectors,
-    losshat_pair,
     total_loss_exact,
     total_loss_mc,
 )
@@ -85,22 +84,20 @@ def test_loss_invariant_under_key_translation(gen):
         total_loss_exact(batch, 2), rel=1e-13)
 
 
-def test_losshat_pair_rejects_diagonal(gen):
-    batch = random_batch(gen, 5, 3)
-    with pytest.raises(IndexError):
-        losshat_pair(batch, 2, 2, 2)
-
-
 def test_losshat_assembles_from_pairs(gen):
+    # the pairwise vector of key j as a negative for query i is coeff[i, j] q_i
     batch = random_batch(gen, 6, 4)
     k = 2
     hat = loss_and_vectors(batch, k)[1].losshat
+    coeff = contrastive._coefficient_table(
+        batch, contrastive._exact_groups(6, k, DEFAULT_ENUMERATION_CAP))[1]
+    q = batch.queries
     for i in range(6):
         acc = np.zeros(4)
         for j in range(6):
             if j == i:
                 continue
-            acc += losshat_pair(batch, j, i, k) - losshat_pair(batch, i, j, k)
+            acc += coeff[j, i] * q[j] - coeff[i, j] * q[i]
         assert np.allclose(hat[i], acc, atol=1e-13)
 
 
@@ -364,9 +361,9 @@ def test_kernel_is_bit_identical_to_the_per_anchor_loop(seed, n, k, d, cap):
     got_loss, lv = loss_and_vectors(batch, k, cap)
     assert got_loss == loss
     assert np.array_equal(lv.losstilde, tilde) and np.array_equal(lv.losshat, hat)
-    for i, j in [(0, n - 1), (n - 1, 0), (n // 2, 0)]:
-        if i != j:
-            assert np.array_equal(losshat_pair(batch, i, j, k, cap), coeff[i, j] * batch.queries[i])
+    # so is the coefficient table, whose coeff[i, j] q_i is each pairwise vector
+    table = contrastive._coefficient_table(batch, contrastive._exact_groups(n, k, cap))[1]
+    assert np.array_equal(table, coeff)
 
     # Each regime's own sampler: Floyd draws when an anchor has more subsets
     # than draws (samples=2 unless C(n-1, k) = 1), rows of rel when it has not

@@ -156,6 +156,10 @@ def test_bytes_round_trip_is_bit_exact(small_nets, tmp_path):
         assert back.shape == qp.shape
         for a, b in zip(back.weights, qp.weights):
             assert a.tobytes() == b.tobytes()
+    # trailing bytes and a header that is not a JSON object are both rejected
+    for blob in (want + b"\0" * 8, b"[3, 32, 8, 8]" + want[want.index(b"\n"):]):
+        with pytest.raises(ShapeError):
+            Params.from_bytes(blob)
 
 
 def test_params_are_immutable(small_nets):

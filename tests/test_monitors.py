@@ -11,10 +11,10 @@ import pytest
 from contrast_lab import Shape, cli, generate_separated, init_params, monitors
 from contrast_lab.config import ExperimentConfig
 from contrast_lab.contrastive import (DEFAULT_ENUMERATION_CAP, HyperParams, encode_batch,
-                                     total_loss_exact)
-from contrast_lab.encoder import Params, forward_batch, forward_shifted
-from contrast_lab.errors import ConvergenceError
-from contrast_lab.linalg import spectral_norm
+                                     grad_params, total_loss_exact)
+from contrast_lab.encoder import Params, forward_batch, forward_shifted, sum_of_squares
+from contrast_lab.errors import ConvergenceError, DivergenceError
+from contrast_lab.linalg import GAUSSIAN_BLOCK, spectral_norm
 from contrast_lab.monitors import (
     ce_smoothness_check,
     descent_check,
@@ -27,7 +27,7 @@ from contrast_lab.monitors import (
     smoothness_probe,
 )
 from contrast_lab.rng import RngState
-from contrast_lab.trainer import train
+from contrast_lab.trainer import BLOCK, train
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +295,65 @@ def test_gradient_bound_probe_reports_both_encoders(setup):
     assert report.config["ms"] == [8, 32, 128]
     assert set(report.fits) == {"grad_w_sq_vs_m", "grad_theta_sq_vs_m"}
     assert report.scalars["r_w_max"] >= report.scalars["r_w_min"] > 0
+
+
+def test_gradient_bound_probe_fits_the_t0_record_of_train(setup):
+    """At each width the probe's numbers are the record train writes at t = 0
+    on the same streams' nets, squared where they are norms: the loss and
+    the loss-vector norms equal grad_params' bit for bit, and the squared
+    gradient norms lie within 4 ulps of sum_of_squares of its gradients (the
+    rounding of squaring a square root)."""
+    root, data, _, _, hp = setup
+    shape = Shape(L=2, m=32, d=8, b=8)
+    s = gradient_bound_probe(data, hp, shape, rng=root.child("gbp")).scalars
+    for i, m in enumerate((8, 32, 128)):
+        sized, rng = dataclasses.replace(shape, m=m), root.child("gbp")
+        qp, kp = init_params(rng.child(f"w-{m}"), sized), init_params(rng.child(f"theta-{m}"), sized)
+        first = train(qp, kp, data, dataclasses.replace(hp, T=1))[0].records[0]
+        assert s["grad_w_sq"][i] == first.grad_w_fro ** 2
+        assert s["grad_theta_sq"][i] == first.grad_theta_fro ** 2
+        g = grad_params(qp, kp, data, hp)
+        assert s["loss"][i] == first.loss == g.loss
+        assert s["losstilde_norm"][i] == g.loss_vectors.tilde_norm
+        assert s["losshat_norm"][i] == g.loss_vectors.hat_norm
+        for got, grads in ((s["grad_w_sq"][i], g.grad_w), (s["grad_theta_sq"][i], g.grad_theta)):
+            want = sum_of_squares(grads.weights)
+            assert abs(got - want) <= 4 * np.spacing(want)
+
+
+def test_gradient_bound_probe_holds_one_width_and_one_gradient_layer():
+    """Traced peak: the widest width's two nets, one gradient layer of that
+    width (its largest, m x m), the step's block buffer, the Gaussian draw's
+    one-block copy of its bits and half a MiB for the traces and the loss.
+    Each width's nets are freed before the next width's are drawn, and no
+    width holds a gradient set: a second set of the widest nets' size
+    (8.5 MB here) would not fit."""
+    root = RngState(seed=3)
+    data = generate_separated(root.child("data"), 6, 8, 0.5)
+    shape = Shape(L=3, m=128, d=8, b=8)
+    hp = HyperParams(k=2, eta=0.05, gamma=0.05, T=1)
+    tracemalloc.start()
+    try:
+        report = gradient_bound_probe(data, hp, shape, root.child("gp"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    widest = dataclasses.replace(shape, m=report.config["ms"][-1]).layer_dims()
+    nets = 2 * 8 * sum(rows * cols for rows, cols in widest)
+    layer = max(rows * cols for rows, cols in widest)
+    assert peak <= nets + (layer + BLOCK + GAUSSIAN_BLOCK) * 8 + 2 ** 19, peak
+
+
+def test_non_finite_record_ends_the_gradient_probe(setup, monkeypatch):
+    # nets whose products overflow give a non-finite loss; no fit is made
+    def overflowing(rng, shape):
+        p = init_params(rng, shape)
+        return Params(shape=shape, weights=(p.weights[0] * 1e300,) + p.weights[1:])
+
+    root, data, _, _, hp = setup
+    monkeypatch.setattr(monitors, "init_params", overflowing)
+    with pytest.raises(DivergenceError, match="non-finite"):
+        gradient_bound_probe(data, hp, Shape(L=2, m=32, d=8, b=8), rng=root.child("gbp"))
 
 
 class TestSmoothnessProbe:

@@ -8,7 +8,9 @@ subsets and one function adds the anchors' mean losses.  In ``trainer``
 one step function, ``gd_step``, takes the gradients and the step, and
 ``train`` calls it for every record.  In ``monitors``
 only ``_verdict`` fits a line, no probe builds a shifted copy of the
-weights, every solver tolerance is a named constant, and each fitted probe
+weights, every solver tolerance is a named constant, the gradient probe
+reads its norms from ``gd_step``'s record and only the smoothness probe
+builds a gradient set with ``grad_params``, and each fitted probe
 runs one configuration that no caller can change: no public function takes a
 sweep, a direction count or a list of widths."""
 
@@ -28,7 +30,6 @@ ORACLES = {
     "enumerate_subsets",  # hand-rolled subset enumerator behind criterion 3
     "forward_trace",      # one-sample forward pass, the reference for forward_batch
     "backprop_matrix",    # per-sample Jacobian chain of the reverse-accumulation oracle
-    "losshat_pair",       # one pairwise key-side vector, checked against enumeration
     "descent_check",      # criterion 8's per-step descent measurement
 }
 
@@ -120,6 +121,17 @@ def test_one_subset_enumeration_and_one_ordered_mean():
 
     assert users("combinations", ["contrastive"]) == ["contrastive._subset_index"]
     assert users("cumsum", sorted(_modules())) == ["contrastive._anchor_mean"]
+
+
+def test_gradient_probe_reads_the_step_record():
+    # one path from a gradient to its norm: the gradient probe fits gd_step's
+    # record, and only the smoothness probe, which needs the gradient's
+    # entries, builds a gradient set
+    body = {getattr(node, "name", node.lineno): _used_names(node)
+            for node in _modules()["monitors"].body}
+    users = sorted(str(name) for name, used in body.items() if "grad_params" in used)
+    assert users == ["smoothness_probe"], f"grad_params referenced from {users}"
+    assert "gd_step" in body["gradient_bound_probe"]
 
 
 def test_probes_build_no_shifted_weights():
