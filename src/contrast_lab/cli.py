@@ -208,9 +208,7 @@ def _run_probe(name: str, root: RngState, data: Dataset, qp: Params, kp: Params,
         return smoothness_probe(qp, kp, data, hp, root.child("smooth-probe"))
     if name == "perturbation":
         return perturbation_probe(qp, data, root.child("perturb-probe"))
-    if name == "ce":
-        return ce_smoothness_check(root.child("ce-probe"))
-    raise ContrastLabError(f"unknown probe {name!r}")
+    return ce_smoothness_check(root.child("ce-probe"))  # "ce": _parse_probes admits no other
 
 
 def cmd_probe(cfg: ExperimentConfig, out: Path, probes: tuple[str, ...]) -> int:
@@ -271,6 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():  # argparse reads "--flag=--" as []
+            if isinstance(value, list):
+                raise ConfigError(f"argument --{name}: expected one argument, got '--'")
         cfg = load_config(args.config)
         if "\0" in args.out:  # Path.mkdir raises ValueError, not OSError
             raise ConfigError(f"--out contains a NUL byte: {args.out!r}")

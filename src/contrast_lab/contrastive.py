@@ -288,41 +288,36 @@ class GradResult:
     loss: float
 
 
-def _layer_gradients(p: Params, trace: BatchTrace, xs: np.ndarray, out_grads: np.ndarray,
-                     scratch: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Gradient of (1/n) sum_i <out_grads[i], f(x_i)> w.r.t. each weight
-    layer, top layer first, each in the front of ``scratch`` (flat, at least
-    the largest layer's entries), which the next layer's overwrites, or in a
-    fresh array when it is None.  The back-propagation product through W_l is
-    formed before layer l's gradient is yielded, so at that yield the caller
-    may overwrite W_l."""
+def _layer_factors(p: Params, trace: BatchTrace, xs: np.ndarray,
+                   out_grads: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each weight layer's gradient of (1/n) sum_i <out_grads[i], f(x_i)> as
+    its two factors (a, h), top layer first: the gradient is a @ h.T, with a
+    (out, n) the masked gradient reaching the layer's output and h (in, n)
+    the layer's input.  The back-propagation product through W_l is formed
+    before layer l's pair is yielded, so at that yield the caller may
+    overwrite W_l."""
     L = p.shape.L
-    dims = p.shape.layer_dims()
-    upper = out_grads.T / xs.shape[0]  # the masked gradient reaching layer l's output
-    chain = backward_batch(p, trace.masks, upper, L, 1)
+    a = out_grads.T / xs.shape[0]
+    chain = backward_batch(p, trace.masks, a, L, 1)
     for l in range(L, -1, -1):
         g = next(chain, None)  # the product through W_l, None at l = 0
-        below = trace.hidden[l - 1] if l > 0 else xs.T
-        out = (np.empty(dims[l]) if scratch is None
-               else scratch[:math.prod(dims[l])].reshape(dims[l]))
-        yield np.matmul(upper, below.T, out=out)
+        yield a, trace.hidden[l - 1] if l > 0 else xs.T
         if l > 0:
-            upper = np.where(trace.masks[l - 1], g, 0.0)
+            a = np.where(trace.masks[l - 1], g, 0.0)
 
 
 def _gradients(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
-               rng: RngState | None = None, scratch: np.ndarray | None = None,
-               ) -> tuple[float, LossVectors, tuple[Iterator[np.ndarray], Iterator[np.ndarray]]]:
-    """The total loss, the loss vectors and each net's _layer_gradients, the
-    query net's first, both through ``scratch``: run one to its end before
-    starting the other."""
+               rng: RngState | None = None,
+               ) -> tuple[float, LossVectors, tuple[Iterator[tuple[np.ndarray, np.ndarray]], ...]]:
+    """The total loss, the loss vectors and each net's _layer_factors, the
+    query net's first."""
     batch = encode_batch(qp, kp, data)
     loss, lv = loss_and_vectors(
         batch, hp.k, cap=hp.enumeration_cap, mode=hp.mode,
         mc_samples=hp.mc_samples, rng=rng,
     )
-    return loss, lv, (_layer_gradients(qp, batch.query_trace, data.points, lv.losstilde, scratch),
-                      _layer_gradients(kp, batch.key_trace, data.points, lv.losshat, scratch))
+    return loss, lv, (_layer_factors(qp, batch.query_trace, data.points, lv.losstilde),
+                      _layer_factors(kp, batch.key_trace, data.points, lv.losshat))
 
 
 def grad_params(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
@@ -330,6 +325,7 @@ def grad_params(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
     """Closed-form gradients of the total loss for both encoders, in fresh
     arrays."""
     loss, lv, layers = _gradients(qp, kp, data, hp, rng)
-    grad_w, grad_theta = (Params(shape=p.shape, weights=tuple(reversed(list(grads))))
-                          for p, grads in zip((qp, kp), layers))
+    grad_w, grad_theta = (
+        Params(shape=p.shape, weights=tuple(reversed([a @ h.T for a, h in pairs])))
+        for p, pairs in zip((qp, kp), layers))
     return GradResult(grad_w=grad_w, grad_theta=grad_theta, loss_vectors=lv, loss=loss)

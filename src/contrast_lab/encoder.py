@@ -74,13 +74,19 @@ class Params:
     @staticmethod
     def from_bytes(blob: bytes) -> "Params":
         """The net of a ``write`` container; ShapeError unless the header line
-        is a JSON object and exactly its layers' float64 bytes follow."""
-        newline = blob.index(b"\n")
-        meta = json.loads(blob[:newline])
-        if not isinstance(meta, dict):
-            raise ShapeError(f"params header must be a JSON object, got {meta!r}")
-        shape = Shape(L=meta["L"], m=meta["m"], d=meta["d"], b=meta["b"])
-        offset = newline + 1
+        is a JSON object of exactly the integers L, m, d and b (a bool is not
+        one) and exactly its layers' float64 bytes follow."""
+        header, newline, _ = blob.partition(b"\n")
+        try:
+            meta = json.loads(header) if newline else None
+        except ValueError:  # not UTF-8, or not JSON
+            meta = None
+        if not (isinstance(meta, dict) and set(meta) == {"L", "m", "d", "b"}
+                and all(type(v) is int for v in meta.values())):
+            raise ShapeError(f"params header must be a JSON object of the integers L, m, d "
+                             f"and b on the first line, got {header[:200]!r}")
+        shape = Shape(**meta)
+        offset = len(header) + 1
         entries = sum(rows * cols for rows, cols in shape.layer_dims())
         if len(blob) - offset != 8 * entries:
             raise ShapeError(f"{shape} needs {8 * entries} payload bytes, got {len(blob) - offset}")

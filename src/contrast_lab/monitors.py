@@ -24,14 +24,14 @@ from typing import Iterator
 import numpy as np
 from scipy.special import ndtri
 
-from .contrastive import EncodedBatch, HyperParams, grad_params, log_partition, total_loss_exact
+from .contrastive import EncodedBatch, HyperParams, _gradients, log_partition, total_loss_exact
 from .data import Dataset, min_pairwise_distance
 from .encoder import (BatchTrace, Params, Shape, backward_batch, forward_batch, forward_shifted,
                       init_params, sum_of_squares)
-from .errors import EvaluationError
+from .errors import DivergenceError, EvaluationError
 from .linalg import SpectralSolve, spectral_norm, top_singular_values
 from .rng import RngState
-from .trainer import BLOCK, StepRecord, TrainTrace, gd_step
+from .trainer import StepRecord, TrainTrace, gd_step, step_scratch
 
 # R^2 gates and [lo, hi] slope bands of the fitted probes, the width ratio
 # of the gradient probe's sweep (m / ratio, m, m * ratio), the sweeps and
@@ -321,16 +321,19 @@ def gradient_bound_probe(data: Dataset, hp: HyperParams, shape: Shape,
     streams, and its numbers from the record ``train`` writes at t = 0
     (``gd_step`` without ``out``), through one scratch sized for the widest
     width: the probe holds one width's nets and one gradient layer.  A
-    non-finite record raises DivergenceError.
+    non-finite record raises DivergenceError naming its width.
     """
     n, L, d = data.n, shape.L, shape.d
     ms = (max(1, shape.m // GRADIENT_WIDTH_RATIO), shape.m, GRADIENT_WIDTH_RATIO * shape.m)
-    scratch = np.empty(BLOCK + max(r * c for r, c in replace(shape, m=ms[-1]).layer_dims()))
+    scratch = step_scratch(replace(shape, m=ms[-1]))
 
     def record(m: int) -> StepRecord:  # width m's nets are freed when it returns
         sized = replace(shape, m=m)
         nets = init_params(rng.child(f"w-{m}"), sized), init_params(rng.child(f"theta-{m}"), sized)
-        return gd_step(*nets, data, hp, nets, None, 0, scratch)
+        try:
+            return gd_step(*nets, data, hp, nets, None, 0, scratch)
+        except DivergenceError as err:
+            raise DivergenceError(f"gradient probe width {m}: {err}") from None
 
     rows = [(r.loss, r.grad_w_fro ** 2, r.grad_theta_fro ** 2, r.losstilde_norm, r.losshat_norm)
             for r in map(record, ms)]
@@ -398,20 +401,21 @@ def smoothness_probe(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
     and fits log|R| against log rho.  A plain Lipschitz-smooth loss would give
     exponent 2; activation kinks contribute an intermediate-power error term,
     so the fitted exponent should land in (1, 2], and at least 1.25 over this
-    sweep.  At its peak it holds the base gradient set and one direction set
-    of both nets, their stacked traces and one layer's product.
+    sweep.  At its peak it holds one direction set of both nets, their
+    stacked traces and two layers: a gradient layer and its product.
     """
     rhos, n_directions = SMOOTHNESS_RHOS, SMOOTHNESS_DIRECTIONS
-    base = grad_params(qp, kp, data, hp)
+    loss, lv, nets = _gradients(qp, kp, data, hp)
+    q_factors, k_factors = (list(pairs)[::-1] for pairs in nets)  # layer order 0..L
     residuals = np.zeros((n_directions, len(rhos)))
     for di in range(n_directions):
         u, v = _unit_frobenius_directions(qp, kp, rng.child(f"dir-{di}"))
-        inner = sum(float(np.sum(g * a)) for g, a in zip(base.grad_w.weights, u))
-        inner += sum(float(np.sum(g * a)) for g, a in zip(base.grad_theta.weights, v))
+        inner = sum(float(np.sum((a @ h.T) * w)) for (a, h), w in zip(q_factors, u))
+        inner += sum(float(np.sum((a @ h.T) * w)) for (a, h), w in zip(k_factors, v))
         for ri, (rho, val) in enumerate(zip(rhos, _perturbed_losses(qp, kp, u, v, data, hp, rhos))):
             if not math.isfinite(val):
                 raise EvaluationError(f"perturbed loss non-finite at rho={rho}")
-            residuals[di, ri] = val - base.loss - rho * inner
+            residuals[di, ri] = val - loss - rho * inner
         del u, v  # before the next direction's draw: one set alive at a time
     mean_abs = np.abs(residuals).mean(axis=0)
     fits, passed, notes = _verdict(rhos, {"abs_residual_vs_rho": mean_abs},
@@ -422,7 +426,7 @@ def smoothness_probe(qp: Params, kp: Params, data: Dataset, hp: HyperParams,
     m, d, n = qp.shape.m, qp.shape.d, data.n
     first_order_scale = rho_arr ** (4 / 3) * math.sqrt(
         m * math.log(m) / (n * d)
-    ) * base.loss_vectors.total_norm
+    ) * lv.total_norm
     second_order_scale = rho_arr ** 2 * hp.k * qp.shape.L**2 * m**2 / d**2
     with np.errstate(divide="ignore", invalid="ignore"):  # log m = 0 at m = 1
         first_order_ratio = mean_abs / first_order_scale

@@ -12,7 +12,7 @@ import numpy as np
 
 from .contrastive import HyperParams, _gradients
 from .data import Dataset
-from .encoder import Params
+from .encoder import Params, Shape
 from .errors import DivergenceError
 from .rng import RngState
 
@@ -111,18 +111,19 @@ def _layer_pass(g: np.ndarray, w: np.ndarray, w0: np.ndarray, buf: np.ndarray,
     return _pairwise(leaf, 0, g.size)
 
 
-def _norms_and_step(p: Params, grads: Iterator[np.ndarray], ref: Params, buf: np.ndarray,
-                    rate: float, out: WeightSet | None) -> tuple[float, float]:
-    """||grad||_F and ||p - ref||_F from the layers ``grads`` yields, top
-    layer first, in one pass over each layer as it is yielded (see
-    _layer_pass), the squares added in layer order 0..L; with ``out``
-    (C-ordered, sharing no memory with ``ref``), the step p - rate * grad is
-    taken there in the same pass, so ``out`` may hold p's own weights."""
+def _norms_and_step(p: Params, factors: Iterator[tuple[np.ndarray, np.ndarray]], ref: Params,
+                    scratch: np.ndarray, rate: float, out: WeightSet | None) -> tuple[float, float]:
+    """||grad||_F and ||p - ref||_F from the factors (a, h) ``factors``
+    yields, top layer first: each gradient a @ h.T is formed in ``scratch``
+    after its block buffer and taken in one pass (see _layer_pass), squares
+    added in layer order 0..L; with ``out`` (C-ordered, sharing no memory
+    with ``ref``) the pass steps p - rate * grad there, so ``out`` may hold p's own weights."""
     sums = [None] * len(p.weights)
-    for l, g in zip(range(p.shape.L, -1, -1), grads):
+    for l, (a, h) in zip(range(p.shape.L, -1, -1), factors):
+        g = np.matmul(a, h.T, out=scratch[BLOCK:BLOCK + len(a) * len(h)].reshape(len(a), len(h)))
         o = out[l].reshape(-1) if out is not None else None
         sums[l] = _layer_pass(g.reshape(-1), p.weights[l].reshape(-1),
-                              ref.weights[l].reshape(-1), buf, rate, o)
+                              ref.weights[l].reshape(-1), scratch[:BLOCK], rate, o)
     grad_sq = dist_sq = 0.0
     for gg, dd in sums:
         grad_sq += float(gg)
@@ -130,12 +131,18 @@ def _norms_and_step(p: Params, grads: Iterator[np.ndarray], ref: Params, buf: np
     return math.sqrt(grad_sq), math.sqrt(dist_sq)
 
 
+def step_scratch(shape: Shape) -> np.ndarray:
+    """gd_step's scratch for nets of ``shape``: the step pass's block buffer
+    (BLOCK entries), then room for the largest layer's gradient."""
+    return np.empty(BLOCK + max(rows * cols for rows, cols in shape.layer_dims()))
+
+
 def gd_step(qp: Params, kp: Params, data: Dataset, hp: HyperParams, ref: tuple[Params, Params],
             rng: RngState | None, t: int, scratch: np.ndarray,
             out: tuple[WeightSet, WeightSet] | None = None) -> StepRecord:
     """The record of (qp, kp) at step t, with both gradients evaluated at the
-    same (W, theta), taken through ``scratch`` (the pass's block buffer, then
-    one gradient layer).  With ``out`` (one writable, C-ordered set of weight
+    same (W, theta), taken through ``scratch`` (step_scratch of their shape,
+    or larger).  With ``out`` (one writable, C-ordered set of weight
     arrays per net, query net first, sharing no memory with ``ref``) the
     simultaneous update is taken there, each layer as soon as its gradient is
     yielded, in the same pass as its norms (see _norms_and_step), so ``out``
@@ -144,10 +151,10 @@ def gd_step(qp: Params, kp: Params, data: Dataset, hp: HyperParams, ref: tuple[P
     finiteness check, which raises DivergenceError."""
     started = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, lv, layers = _gradients(qp, kp, data, hp, rng, scratch[BLOCK:])
+        loss, lv, layers = _gradients(qp, kp, data, hp, rng)
         (grad_w_fro, traj_w_fro), (grad_theta_fro, traj_theta_fro) = (
-            _norms_and_step(p, grads, r, scratch[:BLOCK], rate, o)
-            for p, grads, r, rate, o in zip((qp, kp), layers, ref, (hp.eta, hp.gamma),
+            _norms_and_step(p, factors, r, scratch, rate, o)
+            for p, factors, r, rate, o in zip((qp, kp), layers, ref, (hp.eta, hp.gamma),
                                             out or (None, None)))
         rec = StepRecord(
             t=t,
@@ -176,16 +183,16 @@ def train(
     """Run T simultaneous gradient-descent steps, recording T+1 states.
 
     train owns one weight set per net, a C-ordered copy of the caller's
-    nets, and steps it in place (see gd_step), plus one scratch: a block
-    buffer, then room for the largest layer; no step allocates a
-    weight-sized array.  The closing record is gd_step without ``out``.  The
-    caller's nets, copied once here when they are not C-ordered, stay W_0
-    and are never written; the returned nets view the working set."""
+    nets, and steps it in place (see gd_step), plus one step_scratch; no
+    step allocates a weight-sized array.  The closing record is gd_step
+    without ``out``.  The caller's nets, copied once here when they are not
+    C-ordered, stay W_0 and are never written; the returned nets view the
+    working set."""
     trace = TrainTrace()
     ref = _c_order(qp0), _c_order(kp0)
     work = tuple(tuple(w.copy() for w in p.weights) for p in ref)
     qp, kp = (Params(shape=p.shape, weights=ws) for p, ws in zip(ref, work))
-    scratch = np.empty(BLOCK + max(rows * cols for rows, cols in qp.shape.layer_dims()))
+    scratch = step_scratch(qp.shape)
     mc_rng = rng.child("mc") if rng is not None else None
     for t in range(hp.T + 1):
         last = t == hp.T  # the closing record: the final nets, no update applied

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -27,11 +28,12 @@ from contrast_lab.cli import (
 )
 from contrast_lab.config import ExperimentConfig, parse_config
 from contrast_lab.contrastive import HyperParams
+from contrast_lab.encoder import Params
 from contrast_lab.errors import ConfigError
 from contrast_lab.monitors import gradient_bound_probe
 from contrast_lab.rng import RngState
 from contrast_lab import Shape, generate_separated, init_params
-from contrast_lab.trainer import train
+from contrast_lab.trainer import theoretical_step_size, train
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TINY = {
@@ -171,6 +173,26 @@ class TestCommands:
         direct = gradient_bound_probe(data, hp, shape, root.child("grad-probe"))
         assert report == direct.to_jsonable()
 
+    def test_theoretical_step_mode_takes_the_theorems_step(self, tmp_path):
+        """With ``step_mode: theoretical`` the first step moves each net by
+        eta times its gradient, eta = theoretical_step_size at the drawn
+        data's delta, not by the config's eta and gamma.  The step rounds each
+        entry of W_1 by at most eps/2 of it, and eta g by a few ulps, so with
+        eta ||g||_F far below ||W_1||_F the distance is within eps ||W_1||_F."""
+        cfg = _write_config(tmp_path, step_mode="theoretical", T=1)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        summary = json.loads((out / "summary.json").read_text())
+        eta = theoretical_step_size(TINY["n"], TINY["k"], TINY["L"], TINY["m"], TINY["d"],
+                                    summary["delta"], summary["config"]["epsilon"])
+        with open(out / "trace.csv", encoding="utf-8") as fh:
+            first, second = ({k: float(v) for k, v in row.items()} for row in csv.DictReader(fh))
+        for net, name in (("query", "w"), ("key", "theta")):
+            final = Params.from_bytes((out / f"params_{net}.bin").read_bytes())
+            fro = math.sqrt(sum(float(np.sum(w ** 2)) for w in final.weights))
+            got, want = second[f"traj_{name}_fro"], eta * first[f"grad_{name}_fro"]
+            assert abs(got - want) <= np.finfo(np.float64).eps * fro, (net, got, want)
+
     def test_bad_config_exits_with_failure(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 8, "k": 9, "L": 3, "m": 8, "d": 4, "b": 4}')
@@ -205,6 +227,11 @@ class TestCommands:
         (ABOVE_CAP, ["probe", "--probes", "smoothness"]),
         (ABOVE_CAP, ["probe", "--probes", "ce,gradient"]),
         ({"enumeration_cap": 5}, ["verify"]),  # C(4,2) = 6 at verify's n=5, k=2
+        ({"epsilon": 1.0}, ["train"]),
+        ({"delta_min": 1.5}, ["probe", "--probes", "ce"]),
+        ({}, ["probe", "--probes=--"]),  # argparse reads a value of "--" as []
+        ({}, ["train", "--out=--"]),
+        ({}, ["verify", "--config=--"]),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, overrides, argv):
         monkeypatch.setattr(cli, "init_params", _no_net)  # every flag is checked before any net
@@ -249,6 +276,20 @@ class TestCommands:
         assert main(["train", "--config", str(path)]) == EXIT_FAIL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 5, "k": 2', "error: malformed config document: "),
+        ('[{"n": 5, "k": 2}]', "error: config document must be a JSON object"),
+    ])
+    def test_config_text_that_is_no_object_is_one_error_line(self, tmp_path, capsys, text,
+                                                             message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_FAIL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists()
 
     def test_monte_carlo_mode(self, tmp_path):
         cfg = _write_config(tmp_path, T=3, mode="monte-carlo", mc_samples=200)

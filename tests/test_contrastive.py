@@ -443,23 +443,21 @@ def test_grad_params_matches_reverse_accumulation_oracle(small_nets, small_data)
 
 
 def test_each_layer_may_be_overwritten_at_its_gradients_yield(small_nets, small_data):
-    """Each net's layer gradients come top layer first through one scratch
-    the size of the largest layer, each after the back-propagation product
-    through its layer: with every layer's weights set to NaN at its yield,
-    every gradient still equals grad_params', bit for bit."""
+    """Each net's layer gradients come top layer first as their factors
+    (a, h), each after the back-propagation product through its layer: with
+    every layer's weights set to NaN at its pair's yield, every a @ h.T
+    still equals grad_params' layer, bit for bit."""
     hp = HyperParams(k=2, eta=0.1, gamma=0.1, T=1)
     want = grad_params(*small_nets, small_data, hp)
     arrays = [[w.copy() for w in p.weights] for p in small_nets]
     nets = [Params(shape=p.shape, weights=tuple(ws)) for p, ws in zip(small_nets, arrays)]
-    scratch = np.empty(max(w.size for w in small_nets[0].weights))
-    loss, _, layers = contrastive._gradients(*nets, small_data, hp, scratch=scratch)
+    loss, _, layers = contrastive._gradients(*nets, small_data, hp)
     assert loss == want.loss
-    for ws, grads, ref in zip(arrays, layers, (want.grad_w, want.grad_theta)):
+    for ws, pairs, ref in zip(arrays, layers, (want.grad_w, want.grad_theta)):
         yielded = []
-        for l, g in zip(range(len(ws) - 1, -1, -1), grads):
-            assert np.shares_memory(g, scratch)
-            assert g.tobytes() == ref.weights[l].tobytes(), l
+        for l, (a, h) in zip(range(len(ws) - 1, -1, -1), pairs):
             ws[l][...] = np.nan
+            assert (a @ h.T).tobytes() == ref.weights[l].tobytes(), l
             yielded.append(l)
         assert yielded == list(range(len(ws) - 1, -1, -1))
 

@@ -156,8 +156,14 @@ def test_bytes_round_trip_is_bit_exact(small_nets, tmp_path):
         assert back.shape == qp.shape
         for a, b in zip(back.weights, qp.weights):
             assert a.tobytes() == b.tobytes()
-    # trailing bytes and a header that is not a JSON object are both rejected
-    for blob in (want + b"\0" * 8, b"[3, 32, 8, 8]" + want[want.index(b"\n"):]):
+    # trailing bytes and every malformed header are rejected as ShapeError
+    payload = want[want.index(b"\n"):]
+    headers = (b"[3, 32, 8, 8]", b'{"L": "3", "m": 32, "d": 8, "b": 8}',
+               b'{"L": 3.0, "m": 32, "d": 8, "b": 8}', b'{"L": true, "m": 32, "d": 8, "b": 8}',
+               b'{"m": 32, "d": 8, "b": 8}', b'{"L": 3, "m": 32, "d": 8, "b": 8, "k": 2}',
+               b'{"L": 3, "m": 32, "d": 8', b'{"L": 3, "m": 32, "d": 8, "b": \xff}')
+    for blob in (want + b"\0" * 8, b"", want[:want.index(b"\n")],
+                 *(header + payload for header in headers)):
         with pytest.raises(ShapeError):
             Params.from_bytes(blob)
 

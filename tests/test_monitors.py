@@ -352,7 +352,9 @@ def test_non_finite_record_ends_the_gradient_probe(setup, monkeypatch):
 
     root, data, _, _, hp = setup
     monkeypatch.setattr(monitors, "init_params", overflowing)
-    with pytest.raises(DivergenceError, match="non-finite"):
+    # the first width, m // 4, overflows and is named
+    with pytest.raises(DivergenceError, match="^gradient probe width 8: non-finite loss or "
+                                              "gradient at iteration 0$"):
         gradient_bound_probe(data, hp, Shape(L=2, m=32, d=8, b=8), rng=root.child("gbp"))
 
 
@@ -436,14 +438,15 @@ def _stacked_trace_bytes(p: Params, columns: int) -> int:
 
 
 def test_smoothness_probe_holds_one_direction_set(monkeypatch):
-    """Traced peak: the base gradient set and one direction set of both nets,
-    plus what either phase of a direction adds to them.  The inner product
-    <grad, (U, V)> builds one layer's product g * a; the stacked pass holds
-    both nets' stacked traces and four per-layer temporaries of m x columns
-    floats (0.7 MB here, below one 2 MB layer).  So the bound adds the largest
-    layer and both traces.  Keeping the last direction alive through the next
-    draw, or normalising into copies, needs a third set.  The directions run
-    one after another, so three show what eight would."""
+    """Traced peak: one direction set of both nets, plus what either phase
+    of a direction adds to it.  The inner product <grad, (U, V)> forms one
+    gradient layer from its factors and its product with the direction; the
+    stacked pass holds both nets' stacked traces and four per-layer
+    temporaries of m x columns floats (0.7 MB here, below one 2 MB layer).
+    So the bound adds the two largest layers and both traces.  A gradient
+    set, keeping the last direction alive through the next draw, or
+    normalising into copies, needs a second set.  The directions run one
+    after another, so three show what eight would."""
     L, m, n = 4, 512, 6
     root = RngState(seed=3)
     data = generate_separated(root.child("data"), n, 8, 0.5)
@@ -460,7 +463,7 @@ def test_smoothness_probe_holds_one_direction_set(monkeypatch):
     joint = sum(w.nbytes for w in qp.weights + kp.weights)
     largest = max(w.nbytes for w in qp.weights + kp.weights)
     traces = 2 * _stacked_trace_bytes(qp, n * len(monitors.SMOOTHNESS_RHOS))
-    assert peak <= 2 * joint + largest + traces
+    assert peak <= joint + 2 * largest + traces, peak
 
 
 def test_perturbation_probe_holds_one_direction_layer(monkeypatch):

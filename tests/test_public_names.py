@@ -4,15 +4,17 @@ uses it as an independent oracle or measurement.  The oracles reach none of
 the production paths they certify.  No module re-opens an array for writing
 once it has been frozen.  In ``encoder`` one layer loop serves every batched
 forward pass.  In ``contrastive`` one cached index enumerates the negative
-subsets and one function adds the anchors' mean losses.  In ``trainer``
-one step function, ``gd_step``, takes the gradients and the step, and
-``train`` calls it for every record.  In ``monitors``
-only ``_verdict`` fits a line, no probe builds a shifted copy of the
-weights, every solver tolerance is a named constant, the gradient probe
-reads its norms from ``gd_step``'s record and only the smoothness probe
-builds a gradient set with ``grad_params``, and each fitted probe
-runs one configuration that no caller can change: no public function takes a
-sweep, a direction count or a list of widths."""
+subsets and one function adds the anchors' mean losses, and
+back-propagation yields each layer's gradient as two factors and takes no
+buffer: no function there takes a ``scratch`` or ``out`` parameter.  In
+``trainer`` one step function, ``gd_step``, takes the gradients and the
+step, and ``train`` calls it for every record.  In ``monitors`` only
+``_verdict`` fits a line, no probe builds a shifted copy of the weights,
+every solver tolerance is a named constant, the gradient probe reads its
+norms from ``gd_step``'s record, no probe builds a gradient set with
+``grad_params``, and each fitted probe runs one configuration that no
+caller can change: no public function takes a sweep, a direction count or a
+list of widths."""
 
 import ast
 import functools
@@ -69,7 +71,7 @@ def test_public_name_has_a_caller(module, name):
 # The reference paths and the production names they must not reach.
 INDEPENDENT = {"encoder": ("forward_trace", "backprop_matrix"),
                "oracle": ("fd_gradient", "enumerate_subsets")}
-PRODUCTION = {"_forward", "forward_batch", "backward_batch", "_layer_gradients", "_gradients",
+PRODUCTION = {"_forward", "forward_batch", "backward_batch", "_layer_factors", "_gradients",
               "grad_params", "loss_and_vectors"}
 
 
@@ -125,13 +127,22 @@ def test_one_subset_enumeration_and_one_ordered_mean():
 
 def test_gradient_probe_reads_the_step_record():
     # one path from a gradient to its norm: the gradient probe fits gd_step's
-    # record, and only the smoothness probe, which needs the gradient's
-    # entries, builds a gradient set
+    # record, and no probe builds a gradient set (the smoothness probe forms
+    # one layer at a time from its factors)
     body = {getattr(node, "name", node.lineno): _used_names(node)
             for node in _modules()["monitors"].body}
     users = sorted(str(name) for name, used in body.items() if "grad_params" in used)
-    assert users == ["smoothness_probe"], f"grad_params referenced from {users}"
+    assert not users, f"grad_params referenced from {users}"
     assert "gd_step" in body["gradient_bound_probe"]
+
+
+def test_back_propagation_takes_no_buffer():
+    # the layer factors leave every buffer to their consumers
+    buffered = [f"{node.name}({arg.arg})" for node in ast.walk(_modules()["contrastive"])
+                if isinstance(node, ast.FunctionDef)
+                for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if arg.arg in ("scratch", "out")]
+    assert not buffered, f"contrastive functions take {buffered}"
 
 
 def test_probes_build_no_shifted_weights():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -102,19 +103,16 @@ def test_one_non_finite_gradient_entry_raises(small_nets_module, monkeypatch, ba
     """A single NaN or +inf in one key-net gradient layer, with the loss
     finite, stops training at iteration 0."""
     qp, kp, data = small_nets_module
-    original = trainer._gradients
+    original, calls = trainer._layer_pass, itertools.count()
 
-    def spoiled(layers):
-        for l, g in zip(range(kp.shape.L, -1, -1), layers):
-            if l == 1:
-                g[0, 0] = bad
-            yield g
+    def spoiled_layer_pass(g, *args, **kwargs):
+        # each net's layers run L..0, the query net's first: call 2L is the
+        # key net's layer 1 in the first step
+        if next(calls) == 2 * kp.shape.L:
+            g[0] = bad
+        return original(g, *args, **kwargs)
 
-    def spoiled_gradients(*args, **kwargs):
-        loss, lv, (query, key) = original(*args, **kwargs)
-        return loss, lv, (query, spoiled(key))
-
-    monkeypatch.setattr(trainer, "_gradients", spoiled_gradients)
+    monkeypatch.setattr(trainer, "_layer_pass", spoiled_layer_pass)
     with pytest.raises(DivergenceError, match="iteration 0$"):
         train(qp, kp, data, HyperParams(k=2, eta=0.05, gamma=0.05, T=3))
 
